@@ -8,6 +8,7 @@ use spkadd::hashtab::HashAccumulator;
 use spkadd::heap::KwayHeap;
 use spkadd::kernels::{hash_add_column, heap_add_column, spa_add_column};
 use spkadd::mem::NullModel;
+use spkadd::monoid::Plus;
 use spkadd::spa::Spa;
 
 /// Builds k sorted pseudo-random columns of ~d entries over m rows.
@@ -48,6 +49,7 @@ fn bench_kernels(c: &mut Criterion) {
                     &mut out_rows,
                     &mut out_vals,
                     true,
+                    Plus::new(),
                     &mut NullModel,
                 )
             });
@@ -61,6 +63,7 @@ fn bench_kernels(c: &mut Criterion) {
                     &mut out_rows,
                     &mut out_vals,
                     true,
+                    Plus::new(),
                     &mut NullModel,
                 )
             });
@@ -73,6 +76,7 @@ fn bench_kernels(c: &mut Criterion) {
                     &mut heap,
                     &mut out_rows,
                     &mut out_vals,
+                    Plus::new(),
                     &mut NullModel,
                 )
             });

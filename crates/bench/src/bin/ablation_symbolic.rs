@@ -69,7 +69,10 @@ fn main() {
             // Best of three to damp scheduler noise.
             let mut best: Option<(spk_sparse::CscMatrix<f64>, spkadd::ExecuteStats)> = None;
             for _ in 0..3 {
-                let (out, timings) = plan.execute_timed(&mrefs).expect("spkadd failed");
+                let mut out = spk_sparse::CscMatrix::zeros(0, 0);
+                let timings = plan
+                    .execute_into_timed(&mrefs, &mut out)
+                    .expect("spkadd failed");
                 if best
                     .as_ref()
                     .is_none_or(|(_, b)| timings.total() < b.total())

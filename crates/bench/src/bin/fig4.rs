@@ -80,8 +80,9 @@ fn main() {
                 .build::<f64>()
                 .expect("plan build failed");
             let (timings, _) = time_best(reps, || {
-                let (_, t) = plan.execute_timed(&mrefs).expect("sliding hash failed");
-                t
+                let mut out = CscMatrix::zeros(0, 0);
+                plan.execute_into_timed(&mrefs, &mut out)
+                    .expect("sliding hash failed")
             });
             rows.push(vec![
                 size.to_string(),

@@ -10,24 +10,16 @@
 
 use crate::hashtab::HashAccumulator;
 use crate::mem::NullModel;
-use crate::monoid::{Monoid, Plus};
+use crate::monoid::Monoid;
 use crate::{Options, SpkaddError};
-use spk_sparse::{ColView, DcscMatrix, Element, Scalar, SparseError};
+use spk_sparse::{ColView, DcscMatrix, Element, SparseError};
 
 /// Adds a collection of DCSC matrices with the hash kernel, visiting only
-/// occupied columns. Output columns are sorted when
-/// `opts.sorted_output` is set.
-pub fn spkadd_dcsc<T: Scalar>(
-    mats: &[&DcscMatrix<T>],
-    opts: &Options,
-) -> Result<DcscMatrix<T>, SpkaddError> {
-    spkadd_dcsc_with(mats, Plus::new(), opts)
-}
-
-/// Monoid-generic DCSC SpKAdd — see [`spkadd_dcsc`], which is this with
-/// [`Plus`]. A filtering monoid can empty a column entirely, in which
-/// case it simply drops out of the (doubly-compressed) output.
-pub fn spkadd_dcsc_with<T: Element, O: Monoid<Value = T>>(
+/// occupied columns and folding duplicates with `monoid`. Output columns
+/// are sorted when `opts.sorted_output` is set. A filtering monoid can
+/// empty a column entirely, in which case it simply drops out of the
+/// (doubly-compressed) output.
+pub fn spkadd_dcsc<T: Element, O: Monoid<Value = T>>(
     mats: &[&DcscMatrix<T>],
     monoid: O,
     opts: &Options,
@@ -92,7 +84,7 @@ pub fn spkadd_dcsc_with<T: Element, O: Monoid<Value = T>>(
         ht.reserve_for(inz);
         col_rows.resize(inz, 0);
         col_vals.resize(inz, T::default());
-        let written = crate::kernels::hash_add_column_with(
+        let written = crate::kernels::hash_add_column(
             &views,
             &mut ht,
             &mut col_rows,
@@ -119,6 +111,7 @@ pub fn spkadd_dcsc_with<T: Element, O: Monoid<Value = T>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monoid::Plus;
     use crate::{spkadd_with, Algorithm};
     use spk_sparse::CscMatrix;
 
@@ -135,7 +128,7 @@ mod tests {
         let a = hypersparse(1000, &[(1, 7, 1.0), (5, 500, 2.0)]);
         let b = hypersparse(1000, &[(1, 7, 10.0), (9, 999, 3.0)]);
         let c = hypersparse(1000, &[(0, 0, 4.0)]);
-        let sum = spkadd_dcsc(&[&a, &b, &c], &Options::default()).unwrap();
+        let sum = spkadd_dcsc(&[&a, &b, &c], Plus::new(), &Options::default()).unwrap();
         assert_eq!(sum.nzc(), 4, "columns 0, 7, 500, 999");
         // Oracle via CSC.
         let csc: Vec<CscMatrix<f64>> = [&a, &b, &c].iter().map(|m| m.to_csc()).collect();
@@ -148,7 +141,7 @@ mod tests {
     fn overlapping_and_disjoint_columns() {
         let a = hypersparse(100, &[(0, 1, 1.0), (1, 1, 1.0)]);
         let b = hypersparse(100, &[(0, 1, 1.0), (2, 50, 5.0)]);
-        let sum = spkadd_dcsc(&[&a, &b], &Options::default()).unwrap();
+        let sum = spkadd_dcsc(&[&a, &b], Plus::new(), &Options::default()).unwrap();
         assert_eq!(sum.nzc(), 2);
         let (rows, vals) = sum.col(1).unwrap();
         assert_eq!(rows, &[0, 1]);
@@ -160,15 +153,15 @@ mod tests {
     fn shape_checks() {
         let a = hypersparse(10, &[(0, 1, 1.0)]);
         let b = hypersparse(11, &[(0, 1, 1.0)]);
-        assert!(spkadd_dcsc(&[&a, &b], &Options::default()).is_err());
+        assert!(spkadd_dcsc(&[&a, &b], Plus::new(), &Options::default()).is_err());
         let empty: [&DcscMatrix<f64>; 0] = [];
-        assert!(spkadd_dcsc(&empty, &Options::default()).is_err());
+        assert!(spkadd_dcsc(&empty, Plus::new(), &Options::default()).is_err());
     }
 
     #[test]
     fn all_empty_inputs_produce_empty_dcsc() {
         let z = DcscMatrix::from_csc(&CscMatrix::<f64>::zeros(8, 8));
-        let sum = spkadd_dcsc(&[&z, &z], &Options::default()).unwrap();
+        let sum = spkadd_dcsc(&[&z, &z], Plus::new(), &Options::default()).unwrap();
         assert_eq!(sum.nnz(), 0);
         assert_eq!(sum.nzc(), 0);
     }

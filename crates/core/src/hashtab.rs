@@ -17,8 +17,8 @@
 //! columns without an O(capacity) wipe per column.
 
 use crate::mem::MemModel;
-use crate::monoid::{Monoid, Plus};
-use spk_sparse::{Element, Scalar};
+use crate::monoid::Monoid;
+use spk_sparse::Element;
 
 /// The paper's prime multiplier `a`. 2654435761 = ⌊2³²/φ⌋ (Knuth's
 /// multiplicative constant), which is prime and spreads consecutive row
@@ -158,7 +158,7 @@ impl<T: Element> HashAccumulator<T> {
     ///
     /// Entries failing [`Monoid::keep`] are dropped at this flush point;
     /// for monoids with `MAY_FILTER == false` the check is compiled out.
-    pub fn drain_into_with<O: Monoid<Value = T>, M: MemModel>(
+    pub fn drain_into<O: Monoid<Value = T>, M: MemModel>(
         &mut self,
         out_rows: &mut [u32],
         out_vals: &mut [T],
@@ -295,27 +295,6 @@ impl<T: Element> HashAccumulator<T> {
     }
 }
 
-impl<T: Scalar> HashAccumulator<T> {
-    /// Inserts `v` at row `r`, accumulating if the row is present —
-    /// [`HashAccumulator::insert_combine`] with the [`Plus`] monoid.
-    #[inline]
-    pub fn insert_add<M: MemModel>(&mut self, r: u32, v: T, mem: &mut M) {
-        self.insert_combine(r, v, Plus::new(), mem);
-    }
-
-    /// Emits all stored `(row, value)` pairs —
-    /// [`HashAccumulator::drain_into_with`] with the [`Plus`] monoid.
-    pub fn drain_into<M: MemModel>(
-        &mut self,
-        out_rows: &mut [u32],
-        out_vals: &mut [T],
-        sorted: bool,
-        mem: &mut M,
-    ) -> usize {
-        self.drain_into_with(out_rows, out_vals, sorted, Plus::new(), mem)
-    }
-}
-
 /// Symbolic-phase hash table: row keys only, counts distinct rows (Alg 6).
 #[derive(Debug, Clone)]
 pub struct SymbolicHashTable {
@@ -366,7 +345,7 @@ impl SymbolicHashTable {
 
     /// Registers row `r`; returns `true` the first time `r` is seen
     /// (Alg 6 lines 6–12). Grows at load factor 7/8 like
-    /// [`HashAccumulator::insert_add`].
+    /// [`HashAccumulator::insert_combine`].
     #[inline]
     pub fn insert<M: MemModel>(&mut self, r: u32, mem: &mut M) -> bool {
         if (self.occupied.len() + 1) * 8 > self.capacity() * 7 {
@@ -425,6 +404,7 @@ impl SymbolicHashTable {
 mod tests {
     use super::*;
     use crate::mem::{CountingModel, NullModel};
+    use crate::monoid::Plus;
 
     #[test]
     fn table_size_strictly_greater_po2() {
@@ -440,23 +420,26 @@ mod tests {
     fn accumulate_and_drain_sorted() {
         let mut ht = HashAccumulator::<f64>::with_capacity(8);
         let mut mem = NullModel;
-        ht.insert_add(5, 1.0, &mut mem);
-        ht.insert_add(1, 2.0, &mut mem);
-        ht.insert_add(5, 3.0, &mut mem);
-        ht.insert_add(9, 4.0, &mut mem);
+        ht.insert_combine(5, 1.0, Plus::new(), &mut mem);
+        ht.insert_combine(1, 2.0, Plus::new(), &mut mem);
+        ht.insert_combine(5, 3.0, Plus::new(), &mut mem);
+        ht.insert_combine(9, 4.0, Plus::new(), &mut mem);
         assert_eq!(ht.len(), 3);
         let mut rows = [0u32; 3];
         let mut vals = [0.0f64; 3];
-        let n = ht.drain_into(&mut rows, &mut vals, true, &mut mem);
+        let n = ht.drain_into(&mut rows, &mut vals, true, Plus::new(), &mut mem);
         assert_eq!(n, 3);
         assert_eq!(rows, [1, 5, 9]);
         assert_eq!(vals, [2.0, 4.0, 4.0]);
         assert!(ht.is_empty(), "drain resets the table");
         // Table is reusable afterwards.
-        ht.insert_add(7, 1.5, &mut mem);
+        ht.insert_combine(7, 1.5, Plus::new(), &mut mem);
         let mut r2 = [0u32; 1];
         let mut v2 = [0.0f64; 1];
-        assert_eq!(ht.drain_into(&mut r2, &mut v2, true, &mut mem), 1);
+        assert_eq!(
+            ht.drain_into(&mut r2, &mut v2, true, Plus::new(), &mut mem),
+            1
+        );
         assert_eq!((r2[0], v2[0]), (7, 1.5));
     }
 
@@ -464,12 +447,12 @@ mod tests {
     fn drain_unsorted_first_touch_order() {
         let mut ht = HashAccumulator::<f64>::with_capacity(8);
         let mut mem = NullModel;
-        ht.insert_add(9, 1.0, &mut mem);
-        ht.insert_add(2, 2.0, &mut mem);
-        ht.insert_add(9, 1.0, &mut mem);
+        ht.insert_combine(9, 1.0, Plus::new(), &mut mem);
+        ht.insert_combine(2, 2.0, Plus::new(), &mut mem);
+        ht.insert_combine(9, 1.0, Plus::new(), &mut mem);
         let mut rows = [0u32; 2];
         let mut vals = [0.0f64; 2];
-        ht.drain_into(&mut rows, &mut vals, false, &mut mem);
+        ht.drain_into(&mut rows, &mut vals, false, Plus::new(), &mut mem);
         assert_eq!(rows, [9, 2], "unsorted emission is first-touch order");
         assert_eq!(vals, [2.0, 2.0]);
     }
@@ -480,17 +463,17 @@ mod tests {
         let mut ht = HashAccumulator::<f64>::with_capacity(6); // capacity 8
         let mut mem = NullModel;
         for r in 0..7u32 {
-            ht.insert_add(r, r as f64, &mut mem);
+            ht.insert_combine(r, r as f64, Plus::new(), &mut mem);
         }
         assert_eq!(ht.len(), 7);
         // Re-accumulate every key; counts must not grow.
         for r in 0..7u32 {
-            ht.insert_add(r, 1.0, &mut mem);
+            ht.insert_combine(r, 1.0, Plus::new(), &mut mem);
         }
         assert_eq!(ht.len(), 7);
         let mut rows = vec![0u32; 7];
         let mut vals = vec![0.0f64; 7];
-        ht.drain_into(&mut rows, &mut vals, true, &mut mem);
+        ht.drain_into(&mut rows, &mut vals, true, Plus::new(), &mut mem);
         assert_eq!(rows, (0..7).collect::<Vec<_>>());
         for (r, v) in rows.iter().zip(vals) {
             assert_eq!(v, *r as f64 + 1.0);
@@ -514,14 +497,14 @@ mod tests {
         let mut ht = HashAccumulator::<f64>::with_capacity(2);
         let mut mem = NullModel;
         for r in 0..500u32 {
-            ht.insert_add(r, r as f64, &mut mem);
-            ht.insert_add(r, 1.0, &mut mem);
+            ht.insert_combine(r, r as f64, Plus::new(), &mut mem);
+            ht.insert_combine(r, 1.0, Plus::new(), &mut mem);
         }
         assert_eq!(ht.len(), 500);
         assert!(ht.capacity() >= 500);
         let mut rows = vec![0u32; 500];
         let mut vals = vec![0.0f64; 500];
-        ht.drain_into(&mut rows, &mut vals, true, &mut mem);
+        ht.drain_into(&mut rows, &mut vals, true, Plus::new(), &mut mem);
         for (i, (r, v)) in rows.iter().zip(vals).enumerate() {
             assert_eq!(*r as usize, i);
             assert_eq!(v, i as f64 + 1.0);
@@ -552,13 +535,13 @@ mod tests {
     fn memory_traffic_is_observed() {
         let mut ht = HashAccumulator::<f32>::with_capacity(8);
         let mut mem = CountingModel::new();
-        ht.insert_add(1, 1.0, &mut mem);
+        ht.insert_combine(1, 1.0, Plus::new(), &mut mem);
         // One probe: key read, then key+val writes. f32 values are 4 bytes,
         // the paper's 8-bytes-per-entry numeric configuration.
         assert_eq!(mem.reads, 1);
         assert_eq!(mem.writes, 2);
         assert_eq!(mem.bytes_written, 8);
-        ht.insert_add(1, 1.0, &mut mem);
+        ht.insert_combine(1, 1.0, Plus::new(), &mut mem);
         // Accumulation: key read, value read+write.
         assert_eq!(mem.reads, 3);
         assert_eq!(mem.writes, 3);

@@ -10,8 +10,8 @@
 //! Requires all input columns sorted by row index.
 
 use crate::mem::MemModel;
-use crate::monoid::{Monoid, Plus};
-use spk_sparse::{ColView, Element, Scalar};
+use crate::monoid::Monoid;
+use spk_sparse::{ColView, Element};
 
 /// One heap node: the frontier entry of input matrix `mat`.
 #[derive(Debug, Clone, Copy)]
@@ -51,13 +51,17 @@ impl<T: Element> KwayHeap<T> {
         }
     }
 
-    /// Monoid-generic k-way merge — see [`KwayHeap::add_column`], which is
-    /// this with [`Plus`]. Duplicate rows are folded with
-    /// `monoid.combine`; when a run of duplicates closes (the heap yields
-    /// a larger row, or the merge ends) the reduced value is dropped again
-    /// if `monoid.keep` rejects it. The rollback is safe because the heap
-    /// emits rows in ascending order, so a closed run never reopens.
-    pub fn add_column_with<O: Monoid<Value = T>, M: MemModel>(
+    /// Merges the `j`-th columns of all inputs into `(out_rows, out_vals)`
+    /// and returns the number of output entries. Output is produced in
+    /// ascending row order (the heap algorithm can only emit sorted
+    /// output); the caller guarantees each `ColView` is sorted by row.
+    ///
+    /// Duplicate rows are folded with `monoid.combine`; when a run of
+    /// duplicates closes (the heap yields a larger row, or the merge ends)
+    /// the reduced value is dropped again if `monoid.keep` rejects it. The
+    /// rollback is safe because the heap emits rows in ascending order, so
+    /// a closed run never reopens.
+    pub fn add_column<O: Monoid<Value = T>, M: MemModel>(
         &mut self,
         cols: &[ColView<'_, T>],
         out_rows: &mut [u32],
@@ -240,28 +244,11 @@ impl<T: Element> KwayHeap<T> {
     }
 }
 
-impl<T: Scalar> KwayHeap<T> {
-    /// Merges the `j`-th columns of all inputs into `(out_rows, out_vals)`,
-    /// summing duplicate rows, and returns the number of output entries.
-    /// Output is produced in ascending row order (the heap algorithm can
-    /// only emit sorted output).
-    ///
-    /// The caller guarantees each `ColView` is sorted by row index.
-    pub fn add_column<M: MemModel>(
-        &mut self,
-        cols: &[ColView<'_, T>],
-        out_rows: &mut [u32],
-        out_vals: &mut [T],
-        mem: &mut M,
-    ) -> usize {
-        self.add_column_with(cols, out_rows, out_vals, Plus::new(), mem)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mem::NullModel;
+    use crate::monoid::Plus;
 
     fn view<'a>(rows: &'a [u32], vals: &'a [f64]) -> ColView<'a, f64> {
         ColView { rows, vals }
@@ -278,7 +265,13 @@ mod tests {
         let mut heap = KwayHeap::new(4);
         let mut rows = vec![0u32; 11];
         let mut vals = vec![0.0f64; 11];
-        let n = heap.add_column(&[c1, c2, c3, c4], &mut rows, &mut vals, &mut NullModel);
+        let n = heap.add_column(
+            &[c1, c2, c3, c4],
+            &mut rows,
+            &mut vals,
+            Plus::new(),
+            &mut NullModel,
+        );
         assert_eq!(n, 6);
         assert_eq!(&rows[..n], &[0, 1, 3, 5, 6, 7]);
         assert_eq!(&vals[..n], &[2.0, 5.0, 3.0, 5.0, 2.0, 4.0]);
@@ -291,10 +284,10 @@ mod tests {
         let mut heap = KwayHeap::new(2);
         let mut rows = vec![0u32; 1];
         let mut vals = vec![0.0f64; 1];
-        let n = heap.add_column(&[c1, c2], &mut rows, &mut vals, &mut NullModel);
+        let n = heap.add_column(&[c1, c2], &mut rows, &mut vals, Plus::new(), &mut NullModel);
         assert_eq!(n, 1);
         assert_eq!((rows[0], vals[0]), (2, 1.5));
-        let n = heap.add_column(&[c1, c1], &mut rows, &mut vals, &mut NullModel);
+        let n = heap.add_column(&[c1, c1], &mut rows, &mut vals, Plus::new(), &mut NullModel);
         assert_eq!(n, 0);
     }
 
@@ -304,7 +297,7 @@ mod tests {
         let mut heap = KwayHeap::new(1);
         let mut rows = vec![0u32; 3];
         let mut vals = vec![0.0f64; 3];
-        let n = heap.add_column(&[c], &mut rows, &mut vals, &mut NullModel);
+        let n = heap.add_column(&[c], &mut rows, &mut vals, Plus::new(), &mut NullModel);
         assert_eq!(n, 3);
         assert_eq!(&rows[..], &[0, 4, 9]);
     }
@@ -326,7 +319,7 @@ mod tests {
         let mut rows = vec![0u32; 1];
         let mut vals = vec![0.0f64; 1];
         for _ in 0..3 {
-            let n = heap.add_column(&[c1, c2], &mut rows, &mut vals, &mut NullModel);
+            let n = heap.add_column(&[c1, c2], &mut rows, &mut vals, Plus::new(), &mut NullModel);
             assert_eq!(n, 1);
             assert_eq!(vals[0], 3.0);
         }
@@ -348,7 +341,7 @@ mod tests {
         let mut heap = KwayHeap::new(vals.len());
         let mut rows = vec![0u32; vals.len()];
         let mut out = vec![0.0f64; vals.len()];
-        let n = heap.add_column(&cols, &mut rows, &mut out, &mut NullModel);
+        let n = heap.add_column(&cols, &mut rows, &mut out, Plus::new(), &mut NullModel);
         assert_eq!(n, 1);
         let left_fold = vals.iter().copied().reduce(|a, b| a + b).unwrap();
         assert_eq!(out[0].to_bits(), left_fold.to_bits());
@@ -360,7 +353,7 @@ mod tests {
         let mut heap = KwayHeap::new(8);
         let mut rows = vec![0u32; 8];
         let mut vals = vec![0.0f64; 8];
-        let n = heap.add_column(&cols, &mut rows, &mut vals, &mut NullModel);
+        let n = heap.add_column(&cols, &mut rows, &mut vals, Plus::new(), &mut NullModel);
         assert_eq!(n, 1);
         assert_eq!(vals[0], 8.0);
     }

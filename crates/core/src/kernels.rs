@@ -1,17 +1,21 @@
 //! Column-level k-way kernels: one function per (data structure × phase).
 //!
 //! These are the bodies of the paper's Algorithms 3–6 operating on the
-//! `j`-th columns of all `k` inputs. The parallel drivers in `crate::kway`
-//! call them per column; `spk-cachesim` calls them directly to replay
-//! address streams; the metered drivers call them with a
+//! `j`-th columns of all `k` inputs. Every numeric kernel folds duplicate
+//! rows with a [`Monoid`] argument — pass
+//! [`Plus::new()`](crate::monoid::Plus::new) for the paper's addition —
+//! and the symbolic kernels take none, because output structure is
+//! monoid-independent. The parallel drivers in `crate::kway` call them
+//! per column; `spk-cachesim` calls them directly to replay address
+//! streams; the metered drivers call them with a
 //! [`crate::mem::CountingModel`] to validate Table I.
 
 use crate::hashtab::{HashAccumulator, SymbolicHashTable};
 use crate::heap::KwayHeap;
 use crate::mem::MemModel;
-use crate::monoid::{Monoid, Plus};
+use crate::monoid::Monoid;
 use crate::spa::Spa;
-use spk_sparse::{ColView, Element, Scalar};
+use spk_sparse::{ColView, Element};
 
 /// Streams one input column into the model (the load half of the paper's
 /// I/O accounting: every nonzero is read from memory exactly once in the
@@ -25,22 +29,10 @@ fn stream_column<T: Element, M: MemModel>(col: &ColView<'_, T>, mem: &mut M) {
     }
 }
 
-/// HashAdd (Algorithm 5): accumulates all input columns into `ht`, then
-/// emits into the output slices. Returns the entries written.
-pub fn hash_add_column<T: Scalar, M: MemModel>(
-    cols: &[ColView<'_, T>],
-    ht: &mut HashAccumulator<T>,
-    out_rows: &mut [u32],
-    out_vals: &mut [T],
-    sorted: bool,
-    mem: &mut M,
-) -> usize {
-    hash_add_column_with(cols, ht, out_rows, out_vals, sorted, Plus::new(), mem)
-}
-
-/// Monoid-generic HashAdd — [`hash_add_column`] with an arbitrary
-/// [`Monoid`] folding duplicate rows.
-pub fn hash_add_column_with<T: Element, O: Monoid<Value = T>, M: MemModel>(
+/// HashAdd (Algorithm 5): accumulates all input columns into `ht`,
+/// folding duplicate rows with `monoid`, then emits into the output
+/// slices. Returns the entries written.
+pub fn hash_add_column<T: Element, O: Monoid<Value = T>, M: MemModel>(
     cols: &[ColView<'_, T>],
     ht: &mut HashAccumulator<T>,
     out_rows: &mut [u32],
@@ -55,7 +47,7 @@ pub fn hash_add_column_with<T: Element, O: Monoid<Value = T>, M: MemModel>(
             ht.insert_combine(r, v, monoid, mem);
         }
     }
-    ht.drain_into_with(out_rows, out_vals, sorted, monoid, mem)
+    ht.drain_into(out_rows, out_vals, sorted, monoid, mem)
 }
 
 /// Numeric-only HashAdd for a pattern-cache hit: the output rows are
@@ -64,7 +56,7 @@ pub fn hash_add_column_with<T: Element, O: Monoid<Value = T>, M: MemModel>(
 /// draining and sorting — the per-column sort, the dominant non-streaming
 /// cost of sorted hash emission, disappears along with the symbolic pass.
 ///
-/// The accumulation loop is byte-identical to [`hash_add_column_with`]'s,
+/// The accumulation loop is byte-identical to [`hash_add_column`]'s,
 /// so each row's combine order (and therefore every floating-point
 /// result) matches a cold execution bit for bit.
 pub fn hash_numeric_only_column<T: Element, O: Monoid<Value = T>, M: MemModel>(
@@ -106,21 +98,9 @@ pub fn hash_symbolic_column<T: Element, M: MemModel>(
 }
 
 /// SPAAdd (Algorithm 4): scatters all input columns into the dense
-/// accumulator, then gathers. Returns the entries written.
-pub fn spa_add_column<T: Scalar, M: MemModel>(
-    cols: &[ColView<'_, T>],
-    spa: &mut Spa<T>,
-    out_rows: &mut [u32],
-    out_vals: &mut [T],
-    sorted: bool,
-    mem: &mut M,
-) -> usize {
-    spa_add_column_with(cols, spa, out_rows, out_vals, sorted, Plus::new(), mem)
-}
-
-/// Monoid-generic SPAAdd — [`spa_add_column`] with an arbitrary
-/// [`Monoid`] folding duplicate rows.
-pub fn spa_add_column_with<T: Element, O: Monoid<Value = T>, M: MemModel>(
+/// accumulator, folding duplicate rows with `monoid`, then gathers.
+/// Returns the entries written.
+pub fn spa_add_column<T: Element, O: Monoid<Value = T>, M: MemModel>(
     cols: &[ColView<'_, T>],
     spa: &mut Spa<T>,
     out_rows: &mut [u32],
@@ -135,10 +115,10 @@ pub fn spa_add_column_with<T: Element, O: Monoid<Value = T>, M: MemModel>(
             spa.scatter_combine(r, v, monoid, mem);
         }
     }
-    spa.drain_into_with(out_rows, out_vals, sorted, monoid, mem)
+    spa.drain_into(out_rows, out_vals, sorted, monoid, mem)
 }
 
-/// Numeric-only SPAAdd for a pattern-cache hit — [`spa_add_column_with`]
+/// Numeric-only SPAAdd for a pattern-cache hit — [`spa_add_column`]
 /// with the emission replaced by a gather over the cached row order (no
 /// sort of the touched-index list). Scatter order is identical to the
 /// cold kernel, so results match bit for bit.
@@ -177,21 +157,10 @@ pub fn spa_symbolic_column<T: Element, M: MemModel>(
     spa.drain_count()
 }
 
-/// HeapAdd (Algorithm 3): k-way merge of sorted columns. Output is always
-/// sorted. Returns the entries written.
-pub fn heap_add_column<T: Scalar, M: MemModel>(
-    cols: &[ColView<'_, T>],
-    heap: &mut KwayHeap<T>,
-    out_rows: &mut [u32],
-    out_vals: &mut [T],
-    mem: &mut M,
-) -> usize {
-    heap.add_column(cols, out_rows, out_vals, mem)
-}
-
-/// Monoid-generic HeapAdd — [`heap_add_column`] with an arbitrary
-/// [`Monoid`] folding duplicate rows.
-pub fn heap_add_column_with<T: Element, O: Monoid<Value = T>, M: MemModel>(
+/// HeapAdd (Algorithm 3): k-way merge of sorted columns, folding
+/// duplicate rows with `monoid`. Output is always sorted. Returns the
+/// entries written.
+pub fn heap_add_column<T: Element, O: Monoid<Value = T>, M: MemModel>(
     cols: &[ColView<'_, T>],
     heap: &mut KwayHeap<T>,
     out_rows: &mut [u32],
@@ -199,7 +168,7 @@ pub fn heap_add_column_with<T: Element, O: Monoid<Value = T>, M: MemModel>(
     monoid: O,
     mem: &mut M,
 ) -> usize {
-    heap.add_column_with(cols, out_rows, out_vals, monoid, mem)
+    heap.add_column(cols, out_rows, out_vals, monoid, mem)
 }
 
 /// Symbolic phase via heap: counts distinct rows of sorted columns.
@@ -215,6 +184,7 @@ pub fn heap_symbolic_column<T: Element, M: MemModel>(
 mod tests {
     use super::*;
     use crate::mem::NullModel;
+    use crate::monoid::Plus;
 
     fn views() -> Vec<ColView<'static, f64>> {
         // The paper's Fig 1(a) example.
@@ -257,19 +227,42 @@ mod tests {
         let mut ht = HashAccumulator::<f64>::with_capacity(16);
         let mut rows = vec![0u32; 11];
         let mut vals = vec![0.0f64; 11];
-        let n = hash_add_column(&cols, &mut ht, &mut rows, &mut vals, true, &mut mem);
+        let n = hash_add_column(
+            &cols,
+            &mut ht,
+            &mut rows,
+            &mut vals,
+            true,
+            Plus::new(),
+            &mut mem,
+        );
         assert_eq!(n, 6);
         assert_eq!(&rows[..6], &EXPECT_ROWS);
         assert_eq!(&vals[..6], &EXPECT_VALS);
 
         let mut spa = Spa::<f64>::new(8);
-        let n = spa_add_column(&cols, &mut spa, &mut rows, &mut vals, true, &mut mem);
+        let n = spa_add_column(
+            &cols,
+            &mut spa,
+            &mut rows,
+            &mut vals,
+            true,
+            Plus::new(),
+            &mut mem,
+        );
         assert_eq!(n, 6);
         assert_eq!(&rows[..6], &EXPECT_ROWS);
         assert_eq!(&vals[..6], &EXPECT_VALS);
 
         let mut heap = KwayHeap::<f64>::new(4);
-        let n = heap_add_column(&cols, &mut heap, &mut rows, &mut vals, &mut mem);
+        let n = heap_add_column(
+            &cols,
+            &mut heap,
+            &mut rows,
+            &mut vals,
+            Plus::new(),
+            &mut mem,
+        );
         assert_eq!(n, 6);
         assert_eq!(&rows[..6], &EXPECT_ROWS);
         assert_eq!(&vals[..6], &EXPECT_VALS);
@@ -298,7 +291,15 @@ mod tests {
         let mut ht = HashAccumulator::<f64>::with_capacity(8);
         let mut rows = vec![0u32; 3];
         let mut vals = vec![0.0f64; 3];
-        let n = hash_add_column(&cols, &mut ht, &mut rows, &mut vals, true, &mut NullModel);
+        let n = hash_add_column(
+            &cols,
+            &mut ht,
+            &mut rows,
+            &mut vals,
+            true,
+            Plus::new(),
+            &mut NullModel,
+        );
         assert_eq!(n, 3);
         assert_eq!(rows, vec![1, 3, 6]);
     }
@@ -310,7 +311,15 @@ mod tests {
         let mut rows = vec![0u32; 0];
         let mut vals = vec![0.0f64; 0];
         assert_eq!(
-            hash_add_column(&cols, &mut ht, &mut rows, &mut vals, true, &mut NullModel),
+            hash_add_column(
+                &cols,
+                &mut ht,
+                &mut rows,
+                &mut vals,
+                true,
+                Plus::new(),
+                &mut NullModel
+            ),
             0
         );
     }

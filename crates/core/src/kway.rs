@@ -10,15 +10,15 @@
 //! SPA panels, and heap buffers instead of reallocating them per call.
 
 use crate::kernels::{
-    hash_add_column_with, hash_numeric_only_column, heap_add_column_with, spa_add_column_with,
+    hash_add_column, hash_numeric_only_column, heap_add_column, spa_add_column,
     spa_numeric_only_column,
 };
 use crate::mem::NullModel;
 use crate::monoid::Monoid;
 use crate::parallel::{exclusive_prefix_sum, exclusive_prefix_sum_into, plan_ranges, split_output};
 use crate::pattern::Pattern;
-use crate::sliding::sliding_add_column_with;
-use crate::spa::sliding_spa_add_column_with;
+use crate::sliding::sliding_add_column;
+use crate::spa::sliding_spa_add_column;
 use crate::symbolic::DriverCtx;
 use crate::tuning::{ChunkProfile, ChunkScorer};
 use crate::workspace::WorkspacePool;
@@ -270,7 +270,7 @@ fn decide_kernels<T: Element>(
     chosen
 }
 
-/// Output buffers recycled from a previous result (`execute_into`): the
+/// Output buffers recycled from a previous result (`execute_into_timed`): the
 /// vectors are cleared and refilled, so their capacity is reused when the
 /// steady-state output shape repeats. `Default` yields fresh buffers.
 #[derive(Debug, Default)]
@@ -374,7 +374,7 @@ pub(crate) fn kway_numeric<T: Element, O: Monoid<Value = T>>(
                     NumericKernel::Hash => {
                         let ht = ws.hash();
                         ht.reserve_for(hi - lo);
-                        hash_add_column_with(
+                        hash_add_column(
                             &views,
                             ht,
                             out_rows,
@@ -386,7 +386,7 @@ pub(crate) fn kway_numeric<T: Element, O: Monoid<Value = T>>(
                     }
                     NumericKernel::SlidingHash => {
                         let (ht, scratch) = ws.hash_and_scratch();
-                        sliding_add_column_with(
+                        sliding_add_column(
                             &views,
                             m,
                             ctx.budget_add,
@@ -401,7 +401,7 @@ pub(crate) fn kway_numeric<T: Element, O: Monoid<Value = T>>(
                             &mut mem,
                         )
                     }
-                    NumericKernel::Spa => spa_add_column_with(
+                    NumericKernel::Spa => spa_add_column(
                         &views,
                         ws.spa(m),
                         out_rows,
@@ -414,7 +414,7 @@ pub(crate) fn kway_numeric<T: Element, O: Monoid<Value = T>>(
                         // One cache-resident row panel at a time (the
                         // §IV-B(b) extension).
                         let (spa, scratch) = ws.spa_and_scratch(m.min(ctx.budget_add.max(1)));
-                        sliding_spa_add_column_with(
+                        sliding_spa_add_column(
                             &views,
                             m,
                             ctx.budget_add,
@@ -428,14 +428,9 @@ pub(crate) fn kway_numeric<T: Element, O: Monoid<Value = T>>(
                             &mut mem,
                         )
                     }
-                    NumericKernel::Heap => heap_add_column_with(
-                        &views,
-                        ws.heap(k),
-                        out_rows,
-                        out_vals,
-                        monoid,
-                        &mut mem,
-                    ),
+                    NumericKernel::Heap => {
+                        heap_add_column(&views, ws.heap(k), out_rows, out_vals, monoid, &mut mem)
+                    }
                 };
                 debug_assert!(written <= hi - lo);
                 debug_assert!(!exact || written == hi - lo);
@@ -538,7 +533,7 @@ pub(crate) fn kway_numeric_cached<T: Element, O: Monoid<Value = T>>(
                     // full-input sweep) is saved for these families.
                     NumericKernel::SlidingHash => {
                         let (ht, scratch) = ws.hash_and_scratch();
-                        let written = sliding_add_column_with(
+                        let written = sliding_add_column(
                             &views,
                             m,
                             ctx.budget_add,
@@ -556,7 +551,7 @@ pub(crate) fn kway_numeric_cached<T: Element, O: Monoid<Value = T>>(
                     }
                     NumericKernel::SlidingSpa => {
                         let (spa, scratch) = ws.spa_and_scratch(m.min(ctx.budget_add.max(1)));
-                        let written = sliding_spa_add_column_with(
+                        let written = sliding_spa_add_column(
                             &views,
                             m,
                             ctx.budget_add,
@@ -572,7 +567,7 @@ pub(crate) fn kway_numeric_cached<T: Element, O: Monoid<Value = T>>(
                         debug_assert_eq!(written, hi - lo, "cached count mismatch");
                     }
                     NumericKernel::Heap => {
-                        let written = heap_add_column_with(
+                        let written = heap_add_column(
                             &views,
                             ws.heap(k),
                             out_rows,

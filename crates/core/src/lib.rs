@@ -54,16 +54,20 @@
 //! let sum = plan.execute(&[&a, &b, &c]).unwrap();
 //! assert_eq!(sum.get(2, 2).unwrap(), 3.0);
 //!
-//! // Re-execute at will: workspaces (and, with `execute_into`, even the
-//! // output buffers) are reused instead of reallocated.
-//! let again = plan.execute(&[&a, &b, &c]).unwrap();
+//! // Re-execute at will: workspaces are reused instead of reallocated.
+//! // `execute_into_timed` also recycles the output buffers and reports
+//! // the phase timings and pattern-cache outcome.
+//! let mut again = CscMatrix::zeros(0, 0);
+//! let stats = plan.execute_into_timed(&[&a, &b, &c], &mut again).unwrap();
 //! assert_eq!(again, sum);
+//! assert!(!stats.symbolic_skipped);
 //! ```
 //!
-//! The historical one-shot entry points [`spkadd_with`] /
-//! [`spkadd_with_timings`] / [`spkadd_auto`] remain as thin
-//! compatibility shims over a throwaway plan; prefer holding a
-//! [`SpkAddPlan`] anywhere an addition runs more than once.
+//! Every kernel and driver is generic over the [`Monoid`] that folds
+//! duplicate coordinates; [`SpkAdd::build`] fixes it to [`Plus`] and
+//! [`SpkAdd::build_with_monoid`] takes any other. The one one-shot entry
+//! point, [`spkadd_with`], is a thin shim over a throwaway plan; prefer
+//! holding a [`SpkAddPlan`] anywhere an addition runs more than once.
 
 // No unsafe anywhere in this crate (checked repo-wide by spk-lint's
 // safety-comment rule where unsafe *is* allowed).
@@ -428,61 +432,12 @@ pub fn spkadd_with<T: Scalar>(
     alg: Algorithm,
     opts: &Options,
 ) -> Result<CscMatrix<T>, SpkaddError> {
-    spkadd_with_timings(mats, alg, opts).map(|(out, _)| out)
-}
-
-/// Like [`spkadd_with`], additionally reporting the symbolic/numeric
-/// phase split — the quantity Fig 4 sweeps against the hash-table size.
-///
-/// **Compatibility shim** over a throwaway [`SpkAddPlan`]; see
-/// [`spkadd_with`].
-pub fn spkadd_with_timings<T: Scalar>(
-    mats: &[&CscMatrix<T>],
-    alg: Algorithm,
-    opts: &Options,
-) -> Result<(CscMatrix<T>, ExecuteStats), SpkaddError> {
     let (nrows, ncols) = common_shape(mats)?;
-    let mut plan = SpkAdd::new(nrows, ncols)
+    SpkAdd::new(nrows, ncols)
         .algorithm(alg)
         .options(opts.clone())
-        .build::<T>()?;
-    plan.execute_timed(mats)
-}
-
-/// Adds a collection of sparse matrices, picking the algorithm with the
-/// Fig 2 decision surface ([`choose_algorithm`]).
-///
-/// **Compatibility shim** for `spkadd_with(mats, Algorithm::Auto, opts)`;
-/// see [`spkadd_with`].
-pub fn spkadd_auto<T: Scalar>(
-    mats: &[&CscMatrix<T>],
-    opts: &Options,
-) -> Result<CscMatrix<T>, SpkaddError> {
-    spkadd_with(mats, Algorithm::Auto, opts)
-}
-
-/// One-shot k-way reduction under an arbitrary [`Monoid`] —
-/// [`spkadd_with`] is this with [`Plus`]. The same symbolic/numeric
-/// machinery runs unchanged: the symbolic phase is monoid-independent
-/// (output structure is the set union of input structures), and a
-/// filtering monoid merely demotes its counts to upper bounds that the
-/// numeric driver compacts away.
-///
-/// Like [`spkadd_with`], this builds a throwaway plan; callers reducing
-/// repeatedly should hold a plan via
-/// [`SpkAdd::build_with_monoid`](plan::SpkAdd::build_with_monoid).
-pub fn spkadd_with_monoid<T: spk_sparse::Element, O: Monoid<Value = T>>(
-    mats: &[&CscMatrix<T>],
-    monoid: O,
-    alg: Algorithm,
-    opts: &Options,
-) -> Result<CscMatrix<T>, SpkaddError> {
-    let (nrows, ncols) = common_shape(mats)?;
-    let mut plan = SpkAdd::new(nrows, ncols)
-        .algorithm(alg)
-        .options(opts.clone())
-        .build_with_monoid(monoid)?;
-    plan.execute(mats)
+        .build::<T>()?
+        .execute(mats)
 }
 
 #[cfg(test)]
@@ -606,7 +561,7 @@ mod tests {
     fn auto_picks_something_correct() {
         let ms = collection();
         let refs: Vec<&CscMatrix<f64>> = ms.iter().collect();
-        let out = spkadd_auto(&refs, &Options::default()).unwrap();
+        let out = spkadd_with(&refs, Algorithm::Auto, &Options::default()).unwrap();
         assert_eq!(
             DenseMatrix::from_csc(&out).max_abs_diff(&dense_sum(&refs)),
             0.0
@@ -648,12 +603,7 @@ mod tests {
     }
 
     #[test]
-    fn auto_algorithm_matches_spkadd_auto() {
-        let ms = collection();
-        let refs: Vec<&CscMatrix<f64>> = ms.iter().collect();
-        let via_auto_fn = spkadd_auto(&refs, &Options::default()).unwrap();
-        let via_variant = spkadd_with(&refs, Algorithm::Auto, &Options::default()).unwrap();
-        assert_eq!(via_auto_fn, via_variant);
+    fn auto_is_not_a_paper_row() {
         assert!(!Algorithm::Auto.needs_sorted_inputs());
         assert!(
             !Algorithm::ALL.contains(&Algorithm::Auto),

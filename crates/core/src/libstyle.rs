@@ -15,22 +15,16 @@
 //! drivers amplify k−1 times, which is why the MKL rows of Tables III/IV
 //! are uniformly the slowest.
 
-use crate::monoid::{Monoid, Plus};
+use crate::monoid::Monoid;
 use rayon::prelude::*;
-use spk_sparse::{CooMatrix, CscMatrix, Scalar};
+use spk_sparse::{CooMatrix, CscMatrix};
 
 /// One library-style 2-way addition: triplet conversion, concatenation,
-/// sort, duplicate compaction, fresh allocation.
-pub fn lib_add_pair<T: Scalar>(a: &CscMatrix<T>, b: &CscMatrix<T>) -> CscMatrix<T> {
-    lib_add_pair_with(a, b, Plus::new())
-}
-
-/// Monoid-generic library-style addition — see [`lib_add_pair`], which
-/// is this with [`Plus`]. The combined triplets are counting-sorted
-/// (stable, so `a`'s entries fold before `b`'s — the same order the
-/// streaming merges use) and duplicate runs are reduced with
-/// `monoid.combine`; `monoid.keep` filters each reduced entry.
-pub fn lib_add_pair_with<T: spk_sparse::Element, O: Monoid<Value = T>>(
+/// sort, duplicate compaction, fresh allocation. The combined triplets
+/// are counting-sorted (stable, so `a`'s entries fold before `b`'s — the
+/// same order the streaming merges use) and duplicate runs are reduced
+/// with `monoid.combine`; `monoid.keep` filters each reduced entry.
+pub fn lib_add_pair<T: spk_sparse::Element, O: Monoid<Value = T>>(
     a: &CscMatrix<T>,
     b: &CscMatrix<T>,
     monoid: O,
@@ -73,18 +67,13 @@ pub fn lib_add_pair_with<T: spk_sparse::Element, O: Monoid<Value = T>>(
 }
 
 /// SpKAdd by incremental library calls (the paper's "MKL Incremental").
-pub fn lib_incremental<T: Scalar>(mats: &[&CscMatrix<T>]) -> CscMatrix<T> {
-    lib_incremental_with(mats, Plus::new())
-}
-
-/// Monoid-generic incremental library fold — see [`lib_incremental`].
-pub fn lib_incremental_with<T: spk_sparse::Element, O: Monoid<Value = T>>(
+pub fn lib_incremental<T: spk_sparse::Element, O: Monoid<Value = T>>(
     mats: &[&CscMatrix<T>],
     monoid: O,
 ) -> CscMatrix<T> {
     let mut acc = mats[0].clone();
     for a in &mats[1..] {
-        acc = lib_add_pair_with(&acc, a, monoid);
+        acc = lib_add_pair(&acc, a, monoid);
     }
     acc
 }
@@ -92,19 +81,14 @@ pub fn lib_incremental_with<T: spk_sparse::Element, O: Monoid<Value = T>>(
 /// SpKAdd by a balanced tree of library calls (the paper's "MKL Tree").
 /// Pairs within a level run in parallel — mirroring how one would drive a
 /// thread-safe library — but each call keeps its per-call overhead.
-pub fn lib_tree<T: Scalar>(mats: &[&CscMatrix<T>]) -> CscMatrix<T> {
-    lib_tree_with(mats, Plus::new())
-}
-
-/// Monoid-generic tree of library calls — see [`lib_tree`].
-pub fn lib_tree_with<T: spk_sparse::Element, O: Monoid<Value = T>>(
+pub fn lib_tree<T: spk_sparse::Element, O: Monoid<Value = T>>(
     mats: &[&CscMatrix<T>],
     monoid: O,
 ) -> CscMatrix<T> {
     let mut level: Vec<CscMatrix<T>> = mats
         .par_chunks(2)
         .map(|pair| match pair {
-            [a, b] => lib_add_pair_with(a, b, monoid),
+            [a, b] => lib_add_pair(a, b, monoid),
             [a] => (*a).clone(),
             _ => unreachable!(),
         })
@@ -113,7 +97,7 @@ pub fn lib_tree_with<T: spk_sparse::Element, O: Monoid<Value = T>>(
         level = level
             .par_chunks(2)
             .map(|pair| match pair {
-                [a, b] => lib_add_pair_with(a, b, monoid),
+                [a, b] => lib_add_pair(a, b, monoid),
                 [a] => a.clone(),
                 _ => unreachable!(),
             })
@@ -125,6 +109,7 @@ pub fn lib_tree_with<T: spk_sparse::Element, O: Monoid<Value = T>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monoid::Plus;
     use crate::parallel::Scheduling;
     use crate::twoway;
 
@@ -144,8 +129,8 @@ mod tests {
     fn lib_add_matches_native_add() {
         let a = mk(vec![(vec![1, 3], vec![1.0, 2.0]), (vec![0], vec![5.0])], 4);
         let b = mk(vec![(vec![0, 3], vec![4.0, 8.0]), (vec![0], vec![1.0])], 4);
-        let lib = lib_add_pair(&a, &b);
-        let native = twoway::add_pair(&a, &b, 0, Scheduling::default());
+        let lib = lib_add_pair(&a, &b, Plus::new());
+        let native = twoway::add_pair(&a, &b, 0, Scheduling::default(), Plus::new());
         assert!(lib.approx_eq(&native, 1e-12));
     }
 
@@ -154,8 +139,8 @@ mod tests {
         let a = mk(vec![(vec![0], vec![1.0])], 3);
         let b = mk(vec![(vec![1], vec![2.0])], 3);
         let c = mk(vec![(vec![0, 2], vec![4.0, 8.0])], 3);
-        let inc = lib_incremental(&[&a, &b, &c]);
-        let tree = lib_tree(&[&a, &b, &c]);
+        let inc = lib_incremental(&[&a, &b, &c], Plus::new());
+        let tree = lib_tree(&[&a, &b, &c], Plus::new());
         assert!(inc.approx_eq(&tree, 1e-12));
         assert_eq!(inc.get(0, 0).unwrap(), 5.0);
     }
@@ -163,7 +148,7 @@ mod tests {
     #[test]
     fn single_matrix_passthrough() {
         let a = mk(vec![(vec![2], vec![7.0])], 3);
-        assert!(lib_tree(&[&a]).approx_eq(&a, 0.0));
-        assert!(lib_incremental(&[&a]).approx_eq(&a, 0.0));
+        assert!(lib_tree(&[&a], Plus::new()).approx_eq(&a, 0.0));
+        assert!(lib_incremental(&[&a], Plus::new()).approx_eq(&a, 0.0));
     }
 }

@@ -10,6 +10,7 @@ use crate::hashtab::{HashAccumulator, SymbolicHashTable};
 use crate::heap::KwayHeap;
 use crate::kernels::{hash_add_column, hash_symbolic_column, heap_add_column, spa_add_column};
 use crate::mem::{CountingModel, MemModel};
+use crate::monoid::Plus;
 use crate::parallel::exclusive_prefix_sum;
 use crate::sliding::{sliding_add_column, sliding_symbolic_column, SlidingScratch};
 use crate::spa::{sliding_spa_add_column, Spa};
@@ -39,6 +40,7 @@ fn meter_add_pair<T: Scalar, M: MemModel>(
             b.col(j),
             &mut rows[lo..hi],
             &mut vals[lo..hi],
+            Plus::new(),
             mem,
         );
     }
@@ -183,6 +185,7 @@ pub fn trace_spkadd<T: Scalar, M: MemModel>(
                             &mut heap,
                             &mut rows[lo..hi],
                             &mut vals[lo..hi],
+                            Plus::new(),
                             &mut mem,
                         );
                     }
@@ -199,6 +202,7 @@ pub fn trace_spkadd<T: Scalar, M: MemModel>(
                             &mut rows[lo..hi],
                             &mut vals[lo..hi],
                             true,
+                            Plus::new(),
                             &mut mem,
                         );
                     }
@@ -216,6 +220,7 @@ pub fn trace_spkadd<T: Scalar, M: MemModel>(
                             &mut rows[lo..hi],
                             &mut vals[lo..hi],
                             true,
+                            Plus::new(),
                             &mut mem,
                         );
                     }
@@ -237,6 +242,7 @@ pub fn trace_spkadd<T: Scalar, M: MemModel>(
                             &mut vals[lo..hi],
                             true,
                             true,
+                            Plus::new(),
                             &mut scratch,
                             &mut mem,
                         );
@@ -258,6 +264,7 @@ pub fn trace_spkadd<T: Scalar, M: MemModel>(
                             &mut vals[lo..hi],
                             true,
                             true,
+                            Plus::new(),
                             &mut scratch,
                             &mut mem,
                         );

@@ -32,9 +32,10 @@ use spk_sparse::{CscMatrix, Element};
 /// Covers the common shape, k, and every matrix's `colptr` and `rowidx`
 /// in sequence (values are deliberately excluded). Two independent mixing
 /// lanes plus the exact total input nnz and k make accidental collisions
-/// negligible (~2⁻¹²⁸ per pair of distinct structures) — and a collision
-/// would still produce a structurally valid (merely wrong-sparsity)
-/// output, never unsoundness, because cached entries hold structure only.
+/// negligible (~2⁻¹²⁸ per pair of distinct structures). Every lookup
+/// digests the inputs afresh, so a cached structure is only ever reused
+/// for a collection whose `colptr`/`rowidx` contents match it — however
+/// the buffers were allocated, recycled, or rewritten in place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PatternFingerprint {
     lane_a: u64,
@@ -230,11 +231,6 @@ pub struct PatternCache {
     misses: u64,
     insertions: u64,
     evictions: u64,
-    identity_hits: u64,
-    /// Pointer-identity memo for the fingerprint fast path: the buffer
-    /// addresses and nnz of the last fingerprinted collection, plus its
-    /// print. See [`PatternCache::fingerprint`].
-    identity: IdentityMemo,
     /// Process-wide `spkadd.pattern.*` counters, resolved once at
     /// construction so the per-lookup cost is one relaxed add.
     obs: PatternObs,
@@ -249,7 +245,6 @@ struct PatternObs {
     misses: Arc<spk_obs::Counter>,
     insertions: Arc<spk_obs::Counter>,
     evictions: Arc<spk_obs::Counter>,
-    identity_hits: Arc<spk_obs::Counter>,
 }
 
 impl PatternObs {
@@ -260,27 +255,8 @@ impl PatternObs {
             misses: reg.counter("spkadd.pattern.misses"),
             insertions: reg.counter("spkadd.pattern.insertions"),
             evictions: reg.counter("spkadd.pattern.evictions"),
-            identity_hits: reg.counter("spkadd.pattern.identity_hits"),
         }
     }
-}
-
-#[derive(Debug, Default)]
-struct IdentityMemo {
-    /// One `(colptr ptr, rowidx ptr, nnz)` triple per matrix, in order.
-    /// Buffer pointers — not `&CscMatrix` addresses — so the memo
-    /// survives the matrix structs being moved between executions.
-    ids: Vec<(usize, usize, usize)>,
-    fp: Option<PatternFingerprint>,
-}
-
-/// Identity triple of one matrix: its structural buffers and nnz.
-fn identity_of<T: Element>(a: &CscMatrix<T>) -> (usize, usize, usize) {
-    (
-        a.colptr().as_ptr() as usize,
-        a.rowidx().as_ptr() as usize,
-        a.nnz(),
-    )
 }
 
 impl PatternCache {
@@ -294,54 +270,8 @@ impl PatternCache {
             misses: 0,
             insertions: 0,
             evictions: 0,
-            identity_hits: 0,
-            identity: IdentityMemo::default(),
             obs: PatternObs::new(),
         }
-    }
-
-    /// Fingerprints a collection, skipping the digest sweep when the
-    /// caller passes the same structural buffers (by pointer identity and
-    /// nnz) as the previous execution — the steady-state repeat caller
-    /// holds its matrices in place and only rewrites values, so the
-    /// O(Σ nnz) re-hash is pure overhead for it.
-    ///
-    /// The check cannot see *in-place structural mutation*: rewriting
-    /// `rowidx` contents inside the same allocation (e.g. sorting
-    /// columns) keeps the pointers and nnz identical while changing the
-    /// structure. Callers that do this must call
-    /// [`PatternCache::invalidate_identity`] (via
-    /// [`crate::SpkAddPlan::invalidate_pattern_identity`]) before the
-    /// next execution; a stale identity hit would return the old print
-    /// and scatter values into the old structure.
-    pub(crate) fn fingerprint<T: Element>(&mut self, mats: &[&CscMatrix<T>]) -> PatternFingerprint {
-        if let Some(fp) = self.identity.fp {
-            if self.identity.ids.len() == mats.len()
-                && mats
-                    .iter()
-                    .zip(&self.identity.ids)
-                    .all(|(a, id)| identity_of(a) == *id)
-            {
-                self.identity_hits += 1;
-                self.obs.identity_hits.inc();
-                return fp;
-            }
-        }
-        let fp = PatternFingerprint::of(mats);
-        self.identity.ids.clear();
-        self.identity
-            .ids
-            .extend(mats.iter().map(|a| identity_of(a)));
-        self.identity.fp = Some(fp);
-        fp
-    }
-
-    /// Forgets the pointer-identity memo; the next
-    /// [`PatternCache::fingerprint`] re-hashes. Cached structures are
-    /// untouched.
-    pub(crate) fn invalidate_identity(&mut self) {
-        self.identity.ids.clear();
-        self.identity.fp = None;
     }
 
     /// Looks a fingerprint up, counting the hit/miss and refreshing the
@@ -409,7 +339,6 @@ impl PatternCache {
             misses: self.misses,
             insertions: self.insertions,
             evictions: self.evictions,
-            identity_hits: self.identity_hits,
             entries: self.entries.len(),
             capacity: self.capacity,
         }
@@ -428,9 +357,6 @@ pub struct PatternCacheStats {
     pub insertions: u64,
     /// Entries displaced by the LRU bound.
     pub evictions: u64,
-    /// Fingerprints answered by the pointer-identity fast path (no
-    /// digest sweep ran; a subset of all lookups).
-    pub identity_hits: u64,
     /// Structures currently cached.
     pub entries: usize,
     /// The configured LRU bound.
@@ -525,46 +451,5 @@ mod tests {
         assert_eq!(s.entries, 2);
         assert_eq!(s.capacity, 2);
         assert_eq!((s.hits, s.misses), (3, 1));
-    }
-
-    #[test]
-    fn identity_fast_path_skips_rehashing_same_buffers() {
-        let a = diag(64, 0);
-        let b = diag(64, 5);
-        let mut cache = PatternCache::new(2);
-        let cold = cache.fingerprint(&[&a, &b]);
-        assert_eq!(cache.stats().identity_hits, 0);
-        // Same buffers again → answered from the memo.
-        let warm = cache.fingerprint(&[&a, &b]);
-        assert_eq!(warm, cold);
-        assert_eq!(cache.stats().identity_hits, 1);
-        // Different order = different buffers in slot 0 → full re-hash.
-        let swapped = cache.fingerprint(&[&b, &a]);
-        assert_ne!(swapped, cold);
-        assert_eq!(cache.stats().identity_hits, 1);
-        // A clone has equal structure but different buffers: no identity
-        // hit, same print.
-        let a2 = a.clone();
-        let b2 = b.clone();
-        // Re-memoize the original pair first, then present the clones.
-        cache.fingerprint(&[&a, &b]);
-        let cloned = cache.fingerprint(&[&a2, &b2]);
-        assert_eq!(cloned, cold);
-        assert_eq!(cache.stats().identity_hits, 1, "clone must miss the memo");
-    }
-
-    #[test]
-    fn invalidate_identity_forces_a_rehash() {
-        let a = diag(64, 0);
-        let mut cache = PatternCache::new(2);
-        let before = cache.fingerprint(&[&a]);
-        cache.invalidate_identity();
-        let after = cache.fingerprint(&[&a]);
-        assert_eq!(before, after, "same structure, same print");
-        assert_eq!(
-            cache.stats().identity_hits,
-            0,
-            "invalidation must force the digest sweep"
-        );
     }
 }

@@ -225,8 +225,8 @@ impl SpkAdd {
 /// policy, sliding budgets, and per-thread workspaces. Execute it as
 /// many times as you like — the symbolic/numeric drivers borrow the
 /// retained workspaces instead of reallocating them, and
-/// [`SpkAddPlan::execute_into`] additionally recycles the output
-/// buffers of a previous result.
+/// [`SpkAddPlan::execute_into_timed`] additionally recycles the output
+/// buffers of a previous result and reports [`ExecuteStats`].
 #[derive(Debug)]
 pub struct SpkAddPlan<T: Element, O: Monoid<Value = T> = Plus<T>> {
     shape: (usize, usize),
@@ -289,51 +289,24 @@ impl<T: Element, O: Monoid<Value = T>> SpkAddPlan<T, O> {
         self.cache.as_ref().map(|c| c.stats())
     }
 
-    /// Drops the pattern cache's pointer-identity memo (the fast path
-    /// that skips re-hashing when the same `&[&CscMatrix]` buffers are
-    /// executed again). Call after mutating a previously-executed
-    /// matrix's *structure* in place — same allocations, different
-    /// sparsity — which the identity check cannot distinguish from an
-    /// unchanged collection. Cached structures themselves are untouched;
-    /// the next execution simply re-hashes. No-op without a cache.
-    pub fn invalidate_pattern_identity(&mut self) {
-        if let Some(cache) = self.cache.as_mut() {
-            cache.invalidate_identity();
-        }
-    }
-
     /// Adds the collection, returning a fresh output matrix.
     pub fn execute(&mut self, mats: &[&CscMatrix<T>]) -> Result<CscMatrix<T>, SpkaddError> {
         self.run(mats, RecycledBufs::default()).map(|(out, _)| out)
     }
 
-    /// Like [`SpkAddPlan::execute`], also reporting the symbolic/numeric
-    /// phase split (the series of Fig 4) and the pattern-cache outcome.
-    pub fn execute_timed(
-        &mut self,
-        mats: &[&CscMatrix<T>],
-    ) -> Result<(CscMatrix<T>, ExecuteStats), SpkaddError> {
-        self.run(mats, RecycledBufs::default())
-    }
-
     /// Adds the collection into `sink`, recycling the sink's buffers for
-    /// the new result. The exact k-way path (heap/SPA/hash/sliding with a
-    /// counting symbolic phase — every default configuration) reuses
-    /// their capacity, so steady-shape repeat executions allocate no
-    /// output memory either; the 2-way/library algorithms and the
-    /// `UpperBound` compaction path build their output internally and
-    /// gain only the workspace reuse. On error the sink is left empty.
-    pub fn execute_into(
-        &mut self,
-        mats: &[&CscMatrix<T>],
-        sink: &mut CscMatrix<T>,
-    ) -> Result<(), SpkaddError> {
-        self.execute_into_timed(mats, sink).map(|_| ())
-    }
-
-    /// [`SpkAddPlan::execute_into`] with the [`ExecuteStats`] report —
-    /// the full steady-state combination: recycled output buffers *and*
-    /// (with a pattern cache) a skipped symbolic phase.
+    /// the new result, and reports the symbolic/numeric phase split (the
+    /// series of Fig 4) and the pattern-cache outcome.
+    ///
+    /// The exact k-way path (heap/SPA/hash/sliding with a counting
+    /// symbolic phase — every default configuration) reuses the sink's
+    /// capacity, so steady-shape repeat executions allocate no output
+    /// memory either; the 2-way/library algorithms and the `UpperBound`
+    /// compaction path build their output internally and gain only the
+    /// workspace reuse. With a pattern cache this is the full
+    /// steady-state combination: recycled output buffers *and* a skipped
+    /// symbolic phase. On error the sink is left empty. To time a fresh
+    /// output, pass an empty sink (`CscMatrix::zeros(0, 0)`).
     pub fn execute_into_timed(
         &mut self,
         mats: &[&CscMatrix<T>],
@@ -451,7 +424,7 @@ impl<T: Element, O: Monoid<Value = T>> SpkAddPlan<T, O> {
                 // `timed` records the span from the same measurement
                 // that lands in `ExecuteStats::fingerprint`.
                 let ((), dur) = spk_obs::timed("spkadd.fingerprint", || {
-                    let fp = cache.fingerprint(mats);
+                    let fp = PatternFingerprint::of(mats);
                     match cache.lookup(&fp) {
                         Some(pattern) => {
                             outcome = PatternOutcome::Hit;
@@ -551,25 +524,25 @@ impl<T: Element, O: Monoid<Value = T>> SpkAddPlan<T, O> {
                 Algorithm::Auto => unreachable!("resolved above"),
                 Algorithm::TwoWayIncremental => {
                     let (out, dur) = spk_obs::timed("spkadd.numeric", || {
-                        twoway::spkadd_incremental_with(mats, 0, sched, monoid)
+                        twoway::spkadd_incremental(mats, 0, sched, monoid)
                     });
                     fold(out, dur)
                 }
                 Algorithm::TwoWayTree => {
                     let (out, dur) = spk_obs::timed("spkadd.numeric", || {
-                        twoway::spkadd_tree_with(mats, 0, sched, monoid)
+                        twoway::spkadd_tree(mats, 0, sched, monoid)
                     });
                     fold(out, dur)
                 }
                 Algorithm::LibIncremental => {
                     let (out, dur) = spk_obs::timed("spkadd.numeric", || {
-                        libstyle::lib_incremental_with(mats, monoid)
+                        libstyle::lib_incremental(mats, monoid)
                     });
                     fold(out, dur)
                 }
                 Algorithm::LibTree => {
                     let (out, dur) =
-                        spk_obs::timed("spkadd.numeric", || libstyle::lib_tree_with(mats, monoid));
+                        spk_obs::timed("spkadd.numeric", || libstyle::lib_tree(mats, monoid));
                     fold(out, dur)
                 }
                 Algorithm::Heap
@@ -671,7 +644,7 @@ mod tests {
     }
 
     #[test]
-    fn execute_into_recycles_the_sink() {
+    fn execute_into_timed_recycles_the_sink() {
         let mats: Vec<CscMatrix<f64>> = (0..4).map(|i| shifted_diag(8, i)).collect();
         let refs: Vec<&CscMatrix<f64>> = mats.iter().collect();
         let mut plan = SpkAdd::new(8, 8)
@@ -680,9 +653,9 @@ mod tests {
             .unwrap();
         let expect = plan.execute(&refs).unwrap();
         let mut sink = CscMatrix::zeros(0, 0);
-        plan.execute_into(&refs, &mut sink).unwrap();
+        plan.execute_into_timed(&refs, &mut sink).unwrap();
         assert_eq!(sink, expect);
-        plan.execute_into(&refs, &mut sink).unwrap();
+        plan.execute_into_timed(&refs, &mut sink).unwrap();
         assert_eq!(sink, expect);
     }
 

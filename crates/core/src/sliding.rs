@@ -15,10 +15,10 @@
 //! per-column cost.
 
 use crate::hashtab::{HashAccumulator, SymbolicHashTable};
-use crate::kernels::{hash_add_column_with, hash_symbolic_column};
+use crate::kernels::{hash_add_column, hash_symbolic_column};
 use crate::mem::MemModel;
-use crate::monoid::{Monoid, Plus};
-use spk_sparse::{ColView, Element, Scalar};
+use crate::monoid::Monoid;
+use spk_sparse::{ColView, Element};
 
 /// Per-thread hash-table budget in *entries*, derived from the machine
 /// model (Alg 7/8 line 3 rearranged): `M / (b·T)`.
@@ -149,42 +149,11 @@ pub fn sliding_symbolic_column<T: Element, M: MemModel>(
 ///
 /// Panels cover ascending row ranges, so when `sorted` is requested each
 /// panel is emitted sorted and the concatenation is globally sorted.
-#[allow(clippy::too_many_arguments)]
-pub fn sliding_add_column<T: Scalar, M: MemModel>(
-    cols: &[ColView<'_, T>],
-    m: usize,
-    budget: usize,
-    onz: usize,
-    ht: &mut HashAccumulator<T>,
-    out_rows: &mut [u32],
-    out_vals: &mut [T],
-    sorted: bool,
-    inputs_sorted: bool,
-    scratch: &mut SlidingScratch<T>,
-    mem: &mut M,
-) -> usize {
-    sliding_add_column_with(
-        cols,
-        m,
-        budget,
-        onz,
-        ht,
-        out_rows,
-        out_vals,
-        sorted,
-        inputs_sorted,
-        Plus::new(),
-        scratch,
-        mem,
-    )
-}
-
-/// Monoid-generic sliding-hash addition — see [`sliding_add_column`],
-/// which is this with [`Plus`]. With a filtering monoid the symbolic
+/// Duplicate rows fold with `monoid`; with a filtering monoid the symbolic
 /// `onz` is only an upper bound, so fewer than `onz` entries may be
 /// written.
 #[allow(clippy::too_many_arguments)]
-pub fn sliding_add_column_with<T: Element, O: Monoid<Value = T>, M: MemModel>(
+pub fn sliding_add_column<T: Element, O: Monoid<Value = T>, M: MemModel>(
     cols: &[ColView<'_, T>],
     m: usize,
     budget: usize,
@@ -201,7 +170,7 @@ pub fn sliding_add_column_with<T: Element, O: Monoid<Value = T>, M: MemModel>(
     let parts = num_parts(onz, budget);
     if parts == 1 {
         ht.reserve_for(onz);
-        return hash_add_column_with(cols, ht, out_rows, out_vals, sorted, monoid, mem);
+        return hash_add_column(cols, ht, out_rows, out_vals, sorted, monoid, mem);
     }
     let mut written = 0usize;
     if inputs_sorted {
@@ -213,7 +182,7 @@ pub fn sliding_add_column_with<T: Element, O: Monoid<Value = T>, M: MemModel>(
             sub.extend(cols.iter().map(|c| c.row_range(r1, r2)));
             let panel_inz: usize = sub.iter().map(|c| c.nnz()).sum();
             ht.reserve_for(panel_inz.min(budget));
-            written += hash_add_column_with(
+            written += hash_add_column(
                 &sub,
                 ht,
                 &mut out_rows[written..],
@@ -239,7 +208,7 @@ pub fn sliding_add_column_with<T: Element, O: Monoid<Value = T>, M: MemModel>(
                 vals: &scratch.vals[p],
             }];
             ht.reserve_for(scratch.rows[p].len().min(budget));
-            written += hash_add_column_with(
+            written += hash_add_column(
                 &view,
                 ht,
                 &mut out_rows[written..],
@@ -262,6 +231,7 @@ pub fn sliding_add_column_with<T: Element, O: Monoid<Value = T>, M: MemModel>(
 mod tests {
     use super::*;
     use crate::mem::NullModel;
+    use crate::monoid::Plus;
 
     fn mk_cols() -> (Vec<u32>, Vec<f64>, Vec<u32>, Vec<f64>) {
         // Two columns over m = 64 rows with overlap in every panel.
@@ -308,6 +278,7 @@ mod tests {
             &mut ref_rows,
             &mut ref_vals,
             true,
+            Plus::new(),
             &mut mem,
         );
 
@@ -329,6 +300,7 @@ mod tests {
             &mut vals,
             true,
             true,
+            Plus::new(),
             &mut scratch,
             &mut mem,
         );
@@ -394,6 +366,7 @@ mod tests {
             &mut vals_a,
             true,
             true,
+            Plus::new(),
             &mut scratch,
             &mut mem,
         );
@@ -409,6 +382,7 @@ mod tests {
             &mut vals_b,
             true,
             false,
+            Plus::new(),
             &mut scratch,
             &mut mem,
         );

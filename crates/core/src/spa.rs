@@ -10,8 +10,8 @@
 //! thread-private SPA).
 
 use crate::mem::MemModel;
-use crate::monoid::{Monoid, Plus};
-use spk_sparse::{ColView, Element, Scalar};
+use crate::monoid::Monoid;
+use spk_sparse::{ColView, Element};
 
 /// Thread-private sparse accumulator over `m` rows.
 #[derive(Debug, Clone)]
@@ -114,7 +114,7 @@ impl<T: Element> Spa<T> {
     /// the index list first, advances the epoch, and returns the entry
     /// count. Entries failing [`Monoid::keep`] are dropped at this flush
     /// point (compiled out for monoids that never filter).
-    pub fn drain_into_with<O: Monoid<Value = T>, M: MemModel>(
+    pub fn drain_into<O: Monoid<Value = T>, M: MemModel>(
         &mut self,
         out_rows: &mut [u32],
         out_vals: &mut [T],
@@ -195,27 +195,6 @@ impl<T: Element> Spa<T> {
     }
 }
 
-impl<T: Scalar> Spa<T> {
-    /// Scatters `v` into row `r` — [`Spa::scatter_combine`] with the
-    /// [`Plus`] monoid.
-    #[inline]
-    pub fn scatter<M: MemModel>(&mut self, r: u32, v: T, mem: &mut M) {
-        self.scatter_combine(r, v, Plus::new(), mem);
-    }
-
-    /// Emits the accumulated column — [`Spa::drain_into_with`] with the
-    /// [`Plus`] monoid.
-    pub fn drain_into<M: MemModel>(
-        &mut self,
-        out_rows: &mut [u32],
-        out_vals: &mut [T],
-        sorted: bool,
-        mem: &mut M,
-    ) -> usize {
-        self.drain_into_with(out_rows, out_vals, sorted, Plus::new(), mem)
-    }
-}
-
 /// Sliding (row-partitioned) SPA addition for one column — the paper's
 /// §IV-B(b) suggestion: "the benefits of sliding hash can also be
 /// observed in the SPA algorithm if we partition the SPA array based on
@@ -225,39 +204,10 @@ impl<T: Scalar> Spa<T> {
 /// row space is swept in `⌈m / budget_rows⌉` panels, each using the same
 /// cache-resident SPA segment with indices rebased to the panel. Requires
 /// `spa.num_rows() ≥ min(m, budget_rows)`. Sorted inputs use binary-search
-/// panelling; unsorted inputs use the shared bucketing scratch.
+/// panelling; unsorted inputs use the shared bucketing scratch. Duplicate
+/// rows fold with `monoid`.
 #[allow(clippy::too_many_arguments)]
-pub fn sliding_spa_add_column<T: Scalar, M: MemModel>(
-    cols: &[ColView<'_, T>],
-    m: usize,
-    budget_rows: usize,
-    spa: &mut Spa<T>,
-    out_rows: &mut [u32],
-    out_vals: &mut [T],
-    sorted: bool,
-    inputs_sorted: bool,
-    scratch: &mut crate::sliding::SlidingScratch<T>,
-    mem: &mut M,
-) -> usize {
-    sliding_spa_add_column_with(
-        cols,
-        m,
-        budget_rows,
-        spa,
-        out_rows,
-        out_vals,
-        sorted,
-        inputs_sorted,
-        Plus::new(),
-        scratch,
-        mem,
-    )
-}
-
-/// Monoid-generic sliding SPA addition — see
-/// [`sliding_spa_add_column`], which is this with [`Plus`].
-#[allow(clippy::too_many_arguments)]
-pub fn sliding_spa_add_column_with<T: Element, O: Monoid<Value = T>, M: MemModel>(
+pub fn sliding_spa_add_column<T: Element, O: Monoid<Value = T>, M: MemModel>(
     cols: &[ColView<'_, T>],
     m: usize,
     budget_rows: usize,
@@ -279,7 +229,7 @@ pub fn sliding_spa_add_column_with<T: Element, O: Monoid<Value = T>, M: MemModel
                 spa.scatter_combine(r, v, monoid, mem);
             }
         }
-        written += spa.drain_into_with(out_rows, out_vals, sorted, monoid, mem);
+        written += spa.drain_into(out_rows, out_vals, sorted, monoid, mem);
         return written;
     }
     debug_assert!(spa.num_rows() >= budget_rows);
@@ -293,7 +243,7 @@ pub fn sliding_spa_add_column_with<T: Element, O: Monoid<Value = T>, M: MemModel
                     spa.scatter_combine(r - r1, v, monoid, mem);
                 }
             }
-            let n = spa.drain_into_with(
+            let n = spa.drain_into(
                 &mut out_rows[written..],
                 &mut out_vals[written..],
                 sorted,
@@ -322,7 +272,7 @@ pub fn sliding_spa_add_column_with<T: Element, O: Monoid<Value = T>, M: MemModel
             for (r, v) in rows.iter().zip(vals) {
                 spa.scatter_combine(*r - r1, *v, monoid, mem);
             }
-            let n = spa.drain_into_with(
+            let n = spa.drain_into(
                 &mut out_rows[written..],
                 &mut out_vals[written..],
                 sorted,
@@ -342,18 +292,19 @@ pub fn sliding_spa_add_column_with<T: Element, O: Monoid<Value = T>, M: MemModel
 mod tests {
     use super::*;
     use crate::mem::NullModel;
+    use crate::monoid::Plus;
 
     #[test]
     fn scatter_accumulates_and_drains_sorted() {
         let mut spa = Spa::<f64>::new(10);
         let mut mem = NullModel;
-        spa.scatter(7, 1.0, &mut mem);
-        spa.scatter(2, 2.0, &mut mem);
-        spa.scatter(7, 3.0, &mut mem);
+        spa.scatter_combine(7, 1.0, Plus::new(), &mut mem);
+        spa.scatter_combine(2, 2.0, Plus::new(), &mut mem);
+        spa.scatter_combine(7, 3.0, Plus::new(), &mut mem);
         assert_eq!(spa.len(), 2);
         let mut rows = [0u32; 2];
         let mut vals = [0.0f64; 2];
-        let n = spa.drain_into(&mut rows, &mut vals, true, &mut mem);
+        let n = spa.drain_into(&mut rows, &mut vals, true, Plus::new(), &mut mem);
         assert_eq!(n, 2);
         assert_eq!(rows, [2, 7]);
         assert_eq!(vals, [2.0, 4.0]);
@@ -363,11 +314,11 @@ mod tests {
     fn unsorted_drain_preserves_first_touch_order() {
         let mut spa = Spa::<f64>::new(10);
         let mut mem = NullModel;
-        spa.scatter(7, 1.0, &mut mem);
-        spa.scatter(2, 2.0, &mut mem);
+        spa.scatter_combine(7, 1.0, Plus::new(), &mut mem);
+        spa.scatter_combine(2, 2.0, Plus::new(), &mut mem);
         let mut rows = [0u32; 2];
         let mut vals = [0.0f64; 2];
-        spa.drain_into(&mut rows, &mut vals, false, &mut mem);
+        spa.drain_into(&mut rows, &mut vals, false, Plus::new(), &mut mem);
         assert_eq!(rows, [7, 2]);
     }
 
@@ -375,13 +326,13 @@ mod tests {
     fn epoch_isolates_columns() {
         let mut spa = Spa::<f64>::new(4);
         let mut mem = NullModel;
-        spa.scatter(1, 5.0, &mut mem);
+        spa.scatter_combine(1, 5.0, Plus::new(), &mut mem);
         let mut rows = [0u32; 1];
         let mut vals = [0.0f64; 1];
-        spa.drain_into(&mut rows, &mut vals, true, &mut mem);
+        spa.drain_into(&mut rows, &mut vals, true, Plus::new(), &mut mem);
         // Next column: row 1 must start from zero, not 5.0.
-        spa.scatter(1, 2.0, &mut mem);
-        spa.drain_into(&mut rows, &mut vals, true, &mut mem);
+        spa.scatter_combine(1, 2.0, Plus::new(), &mut mem);
+        spa.drain_into(&mut rows, &mut vals, true, Plus::new(), &mut mem);
         assert_eq!(vals[0], 2.0);
     }
 
@@ -390,14 +341,14 @@ mod tests {
         let mut spa = Spa::<f64>::new(2);
         spa.epoch = u32::MAX; // force the wrap path
         let mut mem = NullModel;
-        spa.scatter(0, 1.0, &mut mem);
+        spa.scatter_combine(0, 1.0, Plus::new(), &mut mem);
         let mut rows = [0u32; 1];
         let mut vals = [0.0f64; 1];
-        spa.drain_into(&mut rows, &mut vals, true, &mut mem);
+        spa.drain_into(&mut rows, &mut vals, true, Plus::new(), &mut mem);
         assert_eq!(spa.epoch, 1);
         // Stale stamp (u32::MAX) must not be considered valid after reset.
-        spa.scatter(0, 9.0, &mut mem);
-        spa.drain_into(&mut rows, &mut vals, true, &mut mem);
+        spa.scatter_combine(0, 9.0, Plus::new(), &mut mem);
+        spa.drain_into(&mut rows, &mut vals, true, Plus::new(), &mut mem);
         assert_eq!(vals[0], 9.0);
     }
 
@@ -426,10 +377,10 @@ mod tests {
         let mut ref_vals = vec![0.0f64; 64];
         for col in &cols {
             for (r, v) in col.iter() {
-                plain.scatter(r, v, &mut mem);
+                plain.scatter_combine(r, v, Plus::new(), &mut mem);
             }
         }
-        let n_ref = plain.drain_into(&mut ref_rows, &mut ref_vals, true, &mut mem);
+        let n_ref = plain.drain_into(&mut ref_rows, &mut ref_vals, true, Plus::new(), &mut mem);
 
         // Sliding SPA with an 8-row panel, both panelling paths.
         let mut scratch = SlidingScratch::new();
@@ -446,6 +397,7 @@ mod tests {
                 &mut vals,
                 true,
                 inputs_sorted,
+                Plus::new(),
                 &mut scratch,
                 &mut mem,
             );
@@ -476,6 +428,7 @@ mod tests {
             &mut vals,
             true,
             true,
+            Plus::new(),
             &mut SlidingScratch::new(),
             &mut NullModel,
         );
@@ -488,7 +441,7 @@ mod tests {
         let mut spa = Spa::<f64>::new(8);
         let mut mem = NullModel;
         for r in [1u32, 1, 2, 3, 3, 3] {
-            spa.scatter(r, 1.0, &mut mem);
+            spa.scatter_combine(r, 1.0, Plus::new(), &mut mem);
         }
         assert_eq!(spa.drain_count(), 3);
         assert_eq!(spa.len(), 0);

@@ -15,7 +15,7 @@ use crate::monoid::{Monoid, Plus};
 use crate::parallel::Scheduling;
 use crate::pattern::PatternCacheStats;
 use crate::sliding::budget_entries;
-use crate::twoway::add_pair_with;
+use crate::twoway::add_pair;
 use crate::{numeric_entry_bytes, Algorithm, Options, SpkAdd, SpkAddPlan, SpkaddError};
 use spk_sparse::{CscMatrix, Element, Scalar, SparseError};
 
@@ -151,7 +151,7 @@ impl<T: Element, O: Monoid<Value = T>> StreamingAccumulator<T, O> {
         monoid: O,
     ) -> Self {
         let (mat_budget, nnz_budget) = policy.budgets::<T>(&opts);
-        // The streaming merge (`add_pair_with` in `flush`) requires sorted
+        // The streaming merge (`add_pair` in `flush`) requires sorted
         // canonical operands, so batch reductions must emit sorted columns
         // even when the caller prefers unsorted output — otherwise the
         // two-pointer merge would silently mis-combine unsorted columns.
@@ -266,7 +266,8 @@ impl<T: Element, O: Monoid<Value = T>> StreamingAccumulator<T, O> {
             }
         };
         let refs: Vec<&CscMatrix<T>> = self.pending.iter().collect();
-        let (batch_sum, stats) = plan.execute_timed(&refs)?;
+        let mut batch_sum = CscMatrix::zeros(0, 0);
+        let stats = plan.execute_into_timed(&refs, &mut batch_sum)?;
         self.kernel_counts.merge(&stats.kernel_counts);
         self.pending.clear();
         self.pending_nnz = 0;
@@ -277,7 +278,7 @@ impl<T: Element, O: Monoid<Value = T>> StreamingAccumulator<T, O> {
                 // The running total and the batch sum are both sorted
                 // canonical outputs, so the streaming merge is one linear
                 // 2-way pass.
-                add_pair_with(
+                add_pair(
                     &acc,
                     &batch_sum,
                     self.opts.threads,

@@ -2,7 +2,9 @@
 //! (Algorithm 1 and §II-B of the paper).
 //!
 //! The column merge is the textbook two-pointer merge of sorted
-//! `(row, value)` lists. On top of it:
+//! `(row, value)` lists, folding equal rows with a [`Monoid`] (pass
+//! [`Plus::new()`](crate::monoid::Plus::new) for plain addition). On top
+//! of it:
 //!
 //! * [`add_pair`] — one parallel 2-way addition `A + B` (count pass,
 //!   prefix sum, fill pass; columns distributed by weight);
@@ -12,13 +14,14 @@
 //!   "free" improvement the paper recommends when only a 2-way primitive
 //!   is available.
 //!
-//! Both require sorted, duplicate-free input columns.
+//! All require sorted, duplicate-free input columns. A filtering monoid
+//! filters at every pairwise merge (DESIGN.md "Filtering caveat").
 
 use crate::mem::{MemModel, NullModel};
-use crate::monoid::{Monoid, Plus};
+use crate::monoid::Monoid;
 use crate::parallel::{exclusive_prefix_sum, plan_ranges, split_output, Scheduling};
 use rayon::prelude::*;
-use spk_sparse::{ColView, CscMatrix, Element, Scalar};
+use spk_sparse::{ColView, CscMatrix, Element};
 
 /// Counts the entries `|A(:,j) ∪ B(:,j)|` a merge would produce.
 #[inline]
@@ -40,26 +43,13 @@ pub fn col_merge_count<T: Element, M: MemModel>(
     n + (a.rows.len() - i) + (b.rows.len() - j)
 }
 
-/// Merges two sorted columns into the output slices, summing equal rows;
-/// returns the number of entries written (the paper's `ColAdd`).
+/// Merges two sorted columns into the output slices, folding equal rows
+/// with `monoid.combine`, and returns the number of entries written (the
+/// paper's `ColAdd`). Every emitted entry (merged or passed through) is
+/// subject to `monoid.keep`, so a filtering monoid can return fewer
+/// entries than [`col_merge_count`] predicts.
 #[inline]
-pub fn col_merge_into<T: Scalar, M: MemModel>(
-    a: ColView<'_, T>,
-    b: ColView<'_, T>,
-    out_rows: &mut [u32],
-    out_vals: &mut [T],
-    mem: &mut M,
-) -> usize {
-    col_merge_into_with(a, b, out_rows, out_vals, Plus::new(), mem)
-}
-
-/// Monoid-generic column merge — see [`col_merge_into`], which is this
-/// with [`Plus`]. Equal rows are folded with `monoid.combine`; every
-/// emitted entry (merged or passed through) is subject to `monoid.keep`,
-/// so a filtering monoid can return fewer entries than
-/// [`col_merge_count`] predicts.
-#[inline]
-pub fn col_merge_into_with<T: Element, O: Monoid<Value = T>, M: MemModel>(
+pub fn col_merge_into<T: Element, O: Monoid<Value = T>, M: MemModel>(
     a: ColView<'_, T>,
     b: ColView<'_, T>,
     out_rows: &mut [u32],
@@ -136,21 +126,11 @@ pub fn col_merge_into_with<T: Element, O: Monoid<Value = T>, M: MemModel>(
 /// Parallel 2-way addition `A + B` over sorted CSC inputs.
 ///
 /// Two passes: a counting pass sizes every output column exactly, then a
-/// fill pass writes disjoint windows — no synchronization, no compaction.
-pub fn add_pair<T: Scalar>(
-    a: &CscMatrix<T>,
-    b: &CscMatrix<T>,
-    threads: usize,
-    sched: Scheduling,
-) -> CscMatrix<T> {
-    add_pair_with(a, b, threads, sched, Plus::new())
-}
-
-/// Monoid-generic parallel 2-way merge — see [`add_pair`], which is this
-/// with [`Plus`]. For a filtering monoid the counting pass yields *upper
-/// bounds*, so the fill pass records actual per-column sizes and a final
+/// fill pass writes disjoint windows — no synchronization. Only a
+/// filtering monoid needs more: its counting pass yields *upper bounds*,
+/// so the fill pass records actual per-column sizes and a final
 /// compaction squeezes the dropped slots out.
-pub fn add_pair_with<T: Element, O: Monoid<Value = T>>(
+pub fn add_pair<T: Element, O: Monoid<Value = T>>(
     a: &CscMatrix<T>,
     b: &CscMatrix<T>,
     threads: usize,
@@ -206,7 +186,7 @@ pub fn add_pair_with<T: Element, O: Monoid<Value = T>>(
                 for (slot, j) in chunk.cols.clone().enumerate() {
                     let lo = colptr[j] - chunk.base;
                     let hi = colptr[j + 1] - chunk.base;
-                    let written = col_merge_into_with(
+                    let written = col_merge_into(
                         a.col(j),
                         b.col(j),
                         &mut chunk.rows[lo..hi],
@@ -239,16 +219,7 @@ pub fn add_pair_with<T: Element, O: Monoid<Value = T>>(
 
 /// SpKAdd by 2-way *incremental* additions (Algorithm 1): `B ← B + A_i`
 /// left to right. Quadratic in `k` for disjoint inputs.
-pub fn spkadd_incremental<T: Scalar>(
-    mats: &[&CscMatrix<T>],
-    threads: usize,
-    sched: Scheduling,
-) -> CscMatrix<T> {
-    spkadd_incremental_with(mats, threads, sched, Plus::new())
-}
-
-/// Monoid-generic incremental fold — see [`spkadd_incremental`].
-pub fn spkadd_incremental_with<T: Element, O: Monoid<Value = T>>(
+pub fn spkadd_incremental<T: Element, O: Monoid<Value = T>>(
     mats: &[&CscMatrix<T>],
     threads: usize,
     sched: Scheduling,
@@ -256,7 +227,7 @@ pub fn spkadd_incremental_with<T: Element, O: Monoid<Value = T>>(
 ) -> CscMatrix<T> {
     let mut acc = mats[0].clone();
     for a in &mats[1..] {
-        acc = add_pair_with(&acc, a, threads, sched, monoid);
+        acc = add_pair(&acc, a, threads, sched, monoid);
     }
     acc
 }
@@ -267,16 +238,7 @@ pub fn spkadd_incremental_with<T: Element, O: Monoid<Value = T>>(
 /// Pairs within a level are independent and run in parallel on top of the
 /// column-parallel `add_pair`; rayon's work stealing composes the two
 /// levels of parallelism.
-pub fn spkadd_tree<T: Scalar>(
-    mats: &[&CscMatrix<T>],
-    threads: usize,
-    sched: Scheduling,
-) -> CscMatrix<T> {
-    spkadd_tree_with(mats, threads, sched, Plus::new())
-}
-
-/// Monoid-generic tree fold — see [`spkadd_tree`].
-pub fn spkadd_tree_with<T: Element, O: Monoid<Value = T>>(
+pub fn spkadd_tree<T: Element, O: Monoid<Value = T>>(
     mats: &[&CscMatrix<T>],
     threads: usize,
     sched: Scheduling,
@@ -286,7 +248,7 @@ pub fn spkadd_tree_with<T: Element, O: Monoid<Value = T>>(
     let mut level: Vec<CscMatrix<T>> = mats
         .par_chunks(2)
         .map(|pair| match pair {
-            [a, b] => add_pair_with(a, b, threads, sched, monoid),
+            [a, b] => add_pair(a, b, threads, sched, monoid),
             [a] => (*a).clone(),
             _ => unreachable!(),
         })
@@ -296,7 +258,7 @@ pub fn spkadd_tree_with<T: Element, O: Monoid<Value = T>>(
         level = level
             .par_chunks(2)
             .map(|pair| match pair {
-                [a, b] => add_pair_with(a, b, threads, sched, monoid),
+                [a, b] => add_pair(a, b, threads, sched, monoid),
                 [a] => a.clone(),
                 _ => unreachable!(),
             })
@@ -309,6 +271,7 @@ pub fn spkadd_tree_with<T: Element, O: Monoid<Value = T>>(
 mod tests {
     use super::*;
     use crate::mem::CountingModel;
+    use crate::monoid::Plus;
     use spk_sparse::DenseMatrix;
 
     fn mat(cols: Vec<(Vec<u32>, Vec<f64>)>, m: usize) -> CscMatrix<f64> {
@@ -340,7 +303,14 @@ mod tests {
         assert_eq!(c, 5);
         let mut rows = vec![0u32; c];
         let mut vals = vec![0.0f64; c];
-        let n = col_merge_into(a.col(0), b.col(0), &mut rows, &mut vals, &mut mem);
+        let n = col_merge_into(
+            a.col(0),
+            b.col(0),
+            &mut rows,
+            &mut vals,
+            Plus::new(),
+            &mut mem,
+        );
         assert_eq!(n, c);
         assert_eq!(rows, vec![0, 1, 3, 5, 6]);
         assert_eq!(vals, vec![2.0, 3.0, 3.0, 3.0, 1.0]);
@@ -356,7 +326,14 @@ mod tests {
         let mut rows = [0u32; 1];
         let mut vals = [0.0f64; 1];
         assert_eq!(
-            col_merge_into(b.col(0), a.col(0), &mut rows, &mut vals, &mut mem),
+            col_merge_into(
+                b.col(0),
+                a.col(0),
+                &mut rows,
+                &mut vals,
+                Plus::new(),
+                &mut mem
+            ),
             1
         );
         assert_eq!(rows[0], 2);
@@ -380,7 +357,7 @@ mod tests {
             ],
             8,
         );
-        let c = add_pair(&a, &b, 0, Scheduling::default());
+        let c = add_pair(&a, &b, 0, Scheduling::default(), Plus::new());
         let oracle = dense_sum(&[&a, &b]).to_csc();
         // add_pair keeps explicit zeros (0 + -0 cancellations stay stored),
         // so compare densely.
@@ -401,8 +378,8 @@ mod tests {
         let c = mat(vec![(vec![2, 3], vec![4.0, 8.0])], 4);
         let d = mat(vec![(vec![0], vec![16.0])], 4);
         let mats = [&a, &b, &c, &d];
-        let inc = spkadd_incremental(&mats, 0, Scheduling::default());
-        let tree = spkadd_tree(&mats, 0, Scheduling::default());
+        let inc = spkadd_incremental(&mats, 0, Scheduling::default(), Plus::new());
+        let tree = spkadd_tree(&mats, 0, Scheduling::default(), Plus::new());
         assert!(inc.approx_eq(&tree, 1e-12));
         assert_eq!(inc.get(2, 0).unwrap(), 5.0);
         assert_eq!(inc.get(0, 0).unwrap(), 17.0);
@@ -413,10 +390,10 @@ mod tests {
         let a = mat(vec![(vec![0], vec![1.0])], 2);
         let b = mat(vec![(vec![1], vec![2.0])], 2);
         let c = mat(vec![(vec![0], vec![4.0])], 2);
-        let three = spkadd_tree(&[&a, &b, &c], 0, Scheduling::default());
+        let three = spkadd_tree(&[&a, &b, &c], 0, Scheduling::default(), Plus::new());
         assert_eq!(three.get(0, 0).unwrap(), 5.0);
         assert_eq!(three.get(1, 0).unwrap(), 2.0);
-        let one = spkadd_tree(&[&a], 0, Scheduling::default());
+        let one = spkadd_tree(&[&a], 0, Scheduling::default(), Plus::new());
         assert!(one.approx_eq(&a, 0.0));
     }
 
@@ -424,8 +401,8 @@ mod tests {
     fn static_scheduling_gives_same_result() {
         let a = mat(vec![(vec![0, 2], vec![1.0, 1.0]), (vec![1], vec![3.0])], 4);
         let b = mat(vec![(vec![2], vec![2.0]), (vec![1, 3], vec![1.0, 1.0])], 4);
-        let dynamic = add_pair(&a, &b, 0, Scheduling::default());
-        let stat = add_pair(&a, &b, 0, Scheduling::Static);
+        let dynamic = add_pair(&a, &b, 0, Scheduling::default(), Plus::new());
+        let stat = add_pair(&a, &b, 0, Scheduling::Static, Plus::new());
         assert!(dynamic.approx_eq(&stat, 0.0));
     }
 
@@ -440,7 +417,14 @@ mod tests {
         let mut mem = CountingModel::new();
         let mut rows = vec![0u32; 100];
         let mut vals = vec![0.0f64; 100];
-        let n = col_merge_into(a.col(0), b.col(0), &mut rows, &mut vals, &mut mem);
+        let n = col_merge_into(
+            a.col(0),
+            b.col(0),
+            &mut rows,
+            &mut vals,
+            Plus::new(),
+            &mut mem,
+        );
         assert_eq!(n, 100);
         assert_eq!(mem.writes, 200, "one row + one val write per output entry");
     }

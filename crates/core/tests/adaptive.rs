@@ -18,6 +18,9 @@ use spkadd::{
     SpkAdd, ThresholdedPlus,
 };
 
+mod common;
+use common::run_timed;
+
 const M: usize = 256;
 const N: usize = 48;
 const D: usize = 6;
@@ -207,7 +210,7 @@ fn no_adaptive_escape_hatch_pins_the_collection_level_choice() {
         .threads(3)
         .build::<f64>()
         .unwrap();
-    let (out, stats) = pinned.execute_timed(&refs).unwrap();
+    let (out, stats) = run_timed(&mut pinned, &refs);
     assert!(
         stats.kernel_counts.distinct() <= 1,
         "adaptive(false) must run one kernel everywhere, got {}",
@@ -277,7 +280,7 @@ fn skewed_rmat_collection_mixes_kernels_under_auto() {
         })
         .build::<f64>()
         .unwrap();
-    let (out, stats) = plan.execute_timed(&refs).unwrap();
+    let (out, stats) = run_timed(&mut plan, &refs);
     assert!(
         stats.kernel_counts.distinct() >= 2,
         "skew must split the decision surface, got {}",
@@ -324,7 +327,7 @@ fn filtering_monoid_bypasses_the_cache_but_not_adaptivity() {
         .build_with_monoid::<f64, _>(monoid)
         .unwrap();
     for round in 0..2 {
-        let (_, stats) = plan.execute_timed(&refs).unwrap();
+        let (_, stats) = run_timed(&mut plan, &refs);
         assert_eq!(
             stats.pattern,
             PatternOutcome::Bypassed,
@@ -356,9 +359,9 @@ fn warm_pattern_hits_replay_memoized_decisions() {
         .pattern_cache(2)
         .build::<f64>()
         .unwrap();
-    let (cold, s1) = plan.execute_timed(&refs).unwrap();
+    let (cold, s1) = run_timed(&mut plan, &refs);
     assert_eq!(s1.pattern, PatternOutcome::Miss);
-    let (warm, s2) = plan.execute_timed(&refs).unwrap();
+    let (warm, s2) = run_timed(&mut plan, &refs);
     assert_eq!(s2.pattern, PatternOutcome::Hit);
     assert_bits_equal(&cold, &warm, "warm replay");
     assert_eq!(
@@ -369,11 +372,12 @@ fn warm_pattern_hits_replay_memoized_decisions() {
 }
 
 #[test]
-fn identity_fast_path_skips_rehash_until_invalidated() {
+fn in_place_sort_columns_misses_without_invalidation() {
     // Matrix 0 starts with one column deliberately out of order; the
     // hash algorithm accepts it, and `sort_columns` later permutes that
-    // column **in place** — same buffers, same nnz, different structure:
-    // exactly the mutation the pointer-identity memo cannot see.
+    // column **in place** — same buffers, same nnz, different structure.
+    // Every lookup re-fingerprints the contents, so no caller action is
+    // needed for the next execution to miss.
     let mut mats = collection(Pattern::Er, 0x1D);
     {
         let (nr, nc, colptr, mut rows, vals) = mats.remove(0).into_parts();
@@ -388,32 +392,19 @@ fn identity_fast_path_skips_rehash_until_invalidated() {
         .pattern_cache(4)
         .build::<f64>()
         .unwrap();
-    let (_, s) = plan.execute_timed(&refs).unwrap();
+    let (_, s) = run_timed(&mut plan, &refs);
     assert_eq!(s.pattern, PatternOutcome::Miss);
-    let (_, s) = plan.execute_timed(&refs).unwrap();
+    let (_, s) = run_timed(&mut plan, &refs);
     assert_eq!(s.pattern, PatternOutcome::Hit);
-    assert_eq!(
-        plan.pattern_stats().unwrap().identity_hits,
-        1,
-        "same buffers twice in a row skip the re-hash"
-    );
     drop(refs);
 
-    // In-place structural mutation: the buffer pointers and nnz are
-    // unchanged, so the caller must invalidate the identity memo.
     mats[0].sort_columns();
-    plan.invalidate_pattern_identity();
     let refs: Vec<&CscMatrix<f64>> = mats.iter().collect();
-    let (out, s) = plan.execute_timed(&refs).unwrap();
+    let (out, s) = run_timed(&mut plan, &refs);
     assert_eq!(
         s.pattern,
         PatternOutcome::Miss,
-        "after invalidate, the changed structure must re-fingerprint and miss"
-    );
-    assert_eq!(
-        plan.pattern_stats().unwrap().identity_hits,
-        1,
-        "the invalidated memo must not claim another hit"
+        "the in-place structural change must re-fingerprint and miss"
     );
     let cold = SpkAdd::new(M, N)
         .algorithm(Algorithm::Hash)

@@ -2,11 +2,10 @@
 //!
 //! Two families of pins:
 //!
-//! 1. **`Plus<f64>` is the scalar path, bit for bit.** The monoid front
-//!    door (`spkadd_with_monoid(.., Plus, ..)`) must produce *exactly*
-//!    the matrix of the historical `spkadd_with` for every algorithm —
-//!    the Scalar entry points are thin wrappers over the same
-//!    monomorphized code, so even float rounding must agree.
+//! 1. **`Plus<f64>` is the scalar path, bit for bit.** A plan built with
+//!    `build_with_monoid(Plus::new())` must produce *exactly* the matrix
+//!    of the one-shot `spkadd_with` for every algorithm — both run the
+//!    same monomorphized code, so even float rounding must agree.
 //! 2. **Non-`+` monoids match independent dense reference folds.** OR
 //!    union, tropical min, and the thresholded (filtering) plus are
 //!    each checked against a model built with plain loops.
@@ -16,8 +15,25 @@
 //! which is a semantically different (documented) reduction.
 
 use spk_gen::{generate_collection, Pattern};
-use spk_sparse::CscMatrix;
-use spkadd::{spkadd_with, spkadd_with_monoid, Algorithm, Min, Options, Or, Plus, ThresholdedPlus};
+use spk_sparse::{CscMatrix, Element};
+use spkadd::{spkadd_with, Algorithm, Min, Monoid, Options, Or, Plus, SpkAdd, ThresholdedPlus};
+
+/// One reduction under `monoid` through a throwaway plan.
+fn reduce<T: Element, O: Monoid<Value = T>>(
+    mats: &[&CscMatrix<T>],
+    monoid: O,
+    alg: Algorithm,
+    opts: &Options,
+) -> CscMatrix<T> {
+    let (m, n) = mats[0].shape();
+    SpkAdd::new(m, n)
+        .algorithm(alg)
+        .options(opts.clone())
+        .build_with_monoid(monoid)
+        .unwrap()
+        .execute(mats)
+        .unwrap()
+}
 
 const ALL_ALGORITHMS: [Algorithm; 10] = [
     Algorithm::TwoWayIncremental,
@@ -76,7 +92,7 @@ fn plus_is_bitwise_identical_to_scalar_path_for_every_algorithm() {
     let opts = Options::default();
     for alg in ALL_ALGORITHMS {
         let scalar = spkadd_with(&refs, alg, &opts).unwrap();
-        let monoid = spkadd_with_monoid(&refs, Plus::new(), alg, &opts).unwrap();
+        let monoid = reduce(&refs, Plus::new(), alg, &opts);
         assert_eq!(monoid, scalar, "{alg:?}: Plus must be the scalar path");
     }
 }
@@ -94,7 +110,7 @@ fn or_union_matches_dense_reference_for_every_algorithm() {
     }
     let opts = Options::default();
     for alg in ALL_ALGORITHMS {
-        let union = spkadd_with_monoid(&refs, Or, alg, &opts).unwrap();
+        let union = reduce(&refs, Or, alg, &opts);
         for j in 0..n {
             let col = union.col(j);
             let expect: Vec<u32> = (0..m as u32)
@@ -123,7 +139,7 @@ fn tropical_min_matches_dense_reference() {
     }
     let opts = Options::default();
     for alg in ALL_ALGORITHMS {
-        let out = spkadd_with_monoid(&refs, Min::<f64>::new(), alg, &opts).unwrap();
+        let out = reduce(&refs, Min::<f64>::new(), alg, &opts);
         for j in 0..n {
             let col = out.col(j);
             let expect: Vec<(u32, f64)> = (0..m as u32)
@@ -156,7 +172,7 @@ fn thresholded_plus_matches_filtered_dense_reference() {
     let monoid = ThresholdedPlus { eps };
     let opts = Options::default();
     for alg in KWAY_ALGORITHMS {
-        let out = spkadd_with_monoid(&refs, monoid, alg, &opts).unwrap();
+        let out = reduce(&refs, monoid, alg, &opts);
         for j in 0..n {
             let col = out.col(j);
             let expect: Vec<(u32, f64)> = (0..m as u32)
@@ -186,7 +202,7 @@ fn thresholded_plus_drops_cancelling_entries() {
     let monoid = ThresholdedPlus { eps: 0.5 };
     let opts = Options::default();
     for alg in KWAY_ALGORITHMS {
-        let out = spkadd_with_monoid(&[&a, &b], monoid, alg, &opts).unwrap();
+        let out = reduce(&[&a, &b], monoid, alg, &opts);
         assert_eq!(out.nnz(), 3, "{alg:?}: cancelled entry must vanish");
         assert_eq!(out.col(0).rows, &[2], "{alg:?}");
         assert_eq!(out.col(1).rows, &[1, 3], "{alg:?}");

@@ -11,6 +11,9 @@ use spk_sparse::CscMatrix;
 use spkadd::{Algorithm, PatternOutcome, SpkAdd};
 use std::sync::Mutex;
 
+mod common;
+use common::run_timed;
+
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -44,7 +47,7 @@ fn execute_emits_phase_spans_and_kernel_events() {
         .unwrap();
     spk_obs::set_tracing(true);
     spk_obs::take_spans();
-    let stats = plan.execute_timed(&refs).map(|(_, s)| s).unwrap();
+    let stats = run_timed(&mut plan, &refs).1;
     spk_obs::set_tracing(false);
     let spans: Vec<_> = spk_obs::take_spans()
         .into_iter()
@@ -82,12 +85,12 @@ fn pattern_hit_skips_the_symbolic_span() {
         .build::<f64>()
         .unwrap();
     // Cold execute inserts the pattern (untraced).
-    let stats = plan.execute_timed(&refs).map(|(_, s)| s).unwrap();
+    let stats = run_timed(&mut plan, &refs).1;
     assert_eq!(stats.pattern, PatternOutcome::Miss);
 
     spk_obs::set_tracing(true);
     spk_obs::take_spans();
-    let stats = plan.execute_timed(&refs).map(|(_, s)| s).unwrap();
+    let stats = run_timed(&mut plan, &refs).1;
     spk_obs::set_tracing(false);
     assert_eq!(stats.pattern, PatternOutcome::Hit);
     assert!(stats.symbolic_skipped);
@@ -157,7 +160,7 @@ fn disabled_tracing_stays_allocation_free_at_steady_state() {
     let obs = spk_obs::allocations();
     let mut sink = first.clone();
     for _ in 0..5 {
-        plan.execute_into(&refs, &mut sink).unwrap();
+        plan.execute_into_timed(&refs, &mut sink).unwrap();
         assert_eq!(sink, first);
     }
     assert_eq!(

@@ -1,13 +1,17 @@
 //! Pattern-cache correctness: a warm (cache-hit) execution must be
 //! bit-for-bit identical to a cold one for every algorithm, the LRU bound
-//! must hold, structural mutations must miss, and filtering monoids must
-//! bypass the cache entirely.
+//! must hold, structural mutations must miss — including ones made inside
+//! the same buffers — and filtering monoids must bypass the cache
+//! entirely.
 
 use spk_gen::{generate_collection, Pattern};
 use spk_sparse::CscMatrix;
 use spkadd::{
     Algorithm, ExecuteStats, Monoid, PatternOutcome, SpkAdd, SpkaddError, ThresholdedPlus,
 };
+
+mod common;
+use common::run_timed;
 
 const M: usize = 256;
 const N: usize = 48;
@@ -78,12 +82,12 @@ fn warm_execution_is_bit_for_bit_identical_for_all_algorithms() {
                 .unwrap();
             let mut cold = SpkAdd::new(M, N).algorithm(alg).build::<f64>().unwrap();
 
-            let (first, s1) = cached.execute_timed(&refs).unwrap();
+            let (first, s1) = run_timed(&mut cached, &refs);
             assert_eq!(first, cold.execute(&refs).unwrap(), "{alg}: cold mismatch");
-            let (warm, s2) = cached.execute_timed(&refs).unwrap();
+            let (warm, s2) = run_timed(&mut cached, &refs);
             assert_eq!(warm, first, "{alg}: warm result differs from cold");
 
-            let (rescaled, s3) = cached.execute_timed(&scaled_refs).unwrap();
+            let (rescaled, s3) = run_timed(&mut cached, &scaled_refs);
             assert_eq!(
                 rescaled,
                 cold.execute(&scaled_refs).unwrap(),
@@ -146,8 +150,8 @@ fn steady_state_hit_allocates_no_workspaces() {
     plan.execute(&refs).unwrap();
     let after_cold = plan.workspace_allocations();
     let mut sink = CscMatrix::zeros(0, 0);
-    plan.execute_into(&refs, &mut sink).unwrap();
-    plan.execute_into(&refs, &mut sink).unwrap();
+    plan.execute_into_timed(&refs, &mut sink).unwrap();
+    plan.execute_into_timed(&refs, &mut sink).unwrap();
     assert_eq!(
         plan.workspace_allocations(),
         after_cold,
@@ -170,7 +174,7 @@ fn lru_evicts_at_capacity() {
         .unwrap();
 
     let outcome = |plan: &mut spkadd::SpkAddPlan<f64>, mats: &[CscMatrix<f64>]| -> ExecuteStats {
-        let (_, stats) = plan.execute_timed(&refs(mats)).unwrap();
+        let (_, stats) = run_timed(plan, &refs(mats));
         stats
     };
 
@@ -199,7 +203,7 @@ fn mutated_rowidx_misses() {
         .pattern_cache(4)
         .build::<f64>()
         .unwrap();
-    let (_, s) = plan.execute_timed(&refs).unwrap();
+    let (_, s) = run_timed(&mut plan, &refs);
     assert_eq!(s.pattern, PatternOutcome::Miss);
 
     // Move one entry of one matrix to a different row: same dims, k, and
@@ -212,7 +216,7 @@ fn mutated_rowidx_misses() {
     mutated.insert(2, changed);
     let mutated_refs: Vec<&CscMatrix<f64>> = mutated.iter().collect();
 
-    let (out, s) = plan.execute_timed(&mutated_refs).unwrap();
+    let (out, s) = run_timed(&mut plan, &mutated_refs);
     assert_eq!(
         s.pattern,
         PatternOutcome::Miss,
@@ -223,6 +227,60 @@ fn mutated_rowidx_misses() {
         .build()
         .unwrap();
     assert_eq!(out, cold.execute(&mutated_refs).unwrap());
+}
+
+/// Rewrites every matrix's structure inside its own buffers: recycles the
+/// `Vec`s through `into_parts`, shifts each column's rows by one (mod
+/// `M`) and re-sorts them in place, then hands the same allocations back
+/// to the validating constructor. Each column keeps its count, stays
+/// sorted and duplicate-free, and changes its row set.
+fn restructure_in_place(mats: &mut [CscMatrix<f64>]) {
+    for slot in mats.iter_mut() {
+        let (m, n, colptr, mut rows, vals) =
+            std::mem::replace(slot, CscMatrix::zeros(0, 0)).into_parts();
+        let (colptr_ptr, rows_ptr) = (colptr.as_ptr(), rows.as_ptr());
+        for j in 0..n {
+            let col = &mut rows[colptr[j]..colptr[j + 1]];
+            col.iter_mut().for_each(|r| *r = (*r + 1) % m as u32);
+            col.sort_unstable();
+        }
+        *slot = CscMatrix::try_new(m, n, colptr, rows, vals).unwrap();
+        assert_eq!(slot.colptr().as_ptr(), colptr_ptr, "same colptr buffer");
+        assert_eq!(slot.rowidx().as_ptr(), rows_ptr, "same rowidx buffer");
+    }
+}
+
+#[test]
+fn structure_rewritten_in_recycled_buffers_misses() {
+    for alg in [
+        Algorithm::Hash,
+        Algorithm::Spa,
+        Algorithm::Heap,
+        Algorithm::SlidingHash,
+        Algorithm::SlidingSpa,
+        Algorithm::Auto,
+    ] {
+        let mut mats = collection(Pattern::Er, 0xB0F);
+        let mut plan = SpkAdd::new(M, N)
+            .algorithm(alg)
+            .pattern_cache(4)
+            .build::<f64>()
+            .unwrap();
+        let refs: Vec<&CscMatrix<f64>> = mats.iter().collect();
+        assert_eq!(run_timed(&mut plan, &refs).1.pattern, PatternOutcome::Miss);
+        assert_eq!(run_timed(&mut plan, &refs).1.pattern, PatternOutcome::Hit);
+
+        restructure_in_place(&mut mats);
+        let refs: Vec<&CscMatrix<f64>> = mats.iter().collect();
+        let (out, s) = run_timed(&mut plan, &refs);
+        assert_eq!(
+            s.pattern,
+            PatternOutcome::Miss,
+            "{alg}: a new structure in the old buffers must miss"
+        );
+        let mut fresh = SpkAdd::new(M, N).algorithm(alg).build::<f64>().unwrap();
+        assert_eq!(out, fresh.execute(&refs).unwrap(), "{alg}: stale sum");
+    }
 }
 
 #[test]
@@ -243,7 +301,7 @@ fn filtering_monoid_bypasses_with_identical_results() {
         .unwrap();
 
     for _ in 0..3 {
-        let (out, stats) = cached.execute_timed(&refs).unwrap();
+        let (out, stats) = run_timed(&mut cached, &refs);
         assert_eq!(
             stats.pattern,
             PatternOutcome::Bypassed,
@@ -264,7 +322,7 @@ fn plans_without_a_cache_report_disabled() {
         .algorithm(Algorithm::Hash)
         .build::<f64>()
         .unwrap();
-    let (_, stats) = plan.execute_timed(&refs).unwrap();
+    let (_, stats) = run_timed(&mut plan, &refs);
     assert_eq!(stats.pattern, PatternOutcome::Disabled);
     assert!(plan.pattern_stats().is_none());
 }
@@ -282,7 +340,7 @@ fn unsorted_output_mode_caches_too() {
         .build::<f64>()
         .unwrap();
     let first = plan.execute(&refs).unwrap();
-    let (warm, stats) = plan.execute_timed(&refs).unwrap();
+    let (warm, stats) = run_timed(&mut plan, &refs);
     assert_eq!(stats.pattern, PatternOutcome::Hit);
     assert_eq!(warm, first);
 }
@@ -327,7 +385,7 @@ fn zero_column_and_tiny_shapes_are_safe() {
         .build::<f64>()
         .unwrap();
     let first = plan.execute(&[&a, &a]).unwrap();
-    let (warm, stats) = plan.execute_timed(&[&a, &a]).unwrap();
+    let (warm, stats) = run_timed(&mut plan, &[&a, &a]);
     assert_eq!(stats.pattern, PatternOutcome::Hit);
     assert_eq!(warm, first);
     assert_eq!(warm.get(0, 0).unwrap(), 2.0);
@@ -354,6 +412,6 @@ fn errors_do_not_poison_the_cache() {
         plan.execute(&[&wrong]),
         Err(SpkaddError::Sparse(_))
     ));
-    let (_, stats) = plan.execute_timed(&refs).unwrap();
+    let (_, stats) = run_timed(&mut plan, &refs);
     assert_eq!(stats.pattern, PatternOutcome::Hit, "cache survives errors");
 }

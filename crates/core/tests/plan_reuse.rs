@@ -135,7 +135,7 @@ fn steady_state_executes_with_zero_workspace_allocations() {
         let after_first = plan.workspace_allocations();
         let mut sink = first.clone();
         for _ in 0..5 {
-            plan.execute_into(&refs, &mut sink).unwrap();
+            plan.execute_into_timed(&refs, &mut sink).unwrap();
             assert_eq!(sink, first, "{alg}: repeat execution differs");
         }
         assert_eq!(

@@ -8,6 +8,7 @@ use spk_sparse::ColView;
 use spkadd::hashtab::{HashAccumulator, SymbolicHashTable};
 use spkadd::heap::KwayHeap;
 use spkadd::mem::NullModel;
+use spkadd::monoid::Plus;
 use spkadd::parallel::{equal_ranges, exclusive_prefix_sum, weighted_ranges};
 use spkadd::spa::Spa;
 use std::collections::BTreeMap;
@@ -24,13 +25,13 @@ proptest! {
         let mut oracle: BTreeMap<u32, f64> = BTreeMap::new();
         let mut mem = NullModel;
         for &(r, v) in &entries {
-            ht.insert_add(r, v as f64, &mut mem);
+            ht.insert_combine(r, v as f64, Plus::new(), &mut mem);
             *oracle.entry(r).or_insert(0.0) += v as f64;
         }
         prop_assert_eq!(ht.len(), oracle.len());
         let mut rows = vec![0u32; oracle.len()];
         let mut vals = vec![0.0f64; oracle.len()];
-        let n = ht.drain_into(&mut rows, &mut vals, true, &mut mem);
+        let n = ht.drain_into(&mut rows, &mut vals, true, Plus::new(), &mut mem);
         prop_assert_eq!(n, oracle.len());
         for (i, (&r, &v)) in oracle.iter().enumerate() {
             prop_assert_eq!(rows[i], r);
@@ -69,14 +70,14 @@ proptest! {
         let mut touched = vec![false; m];
         let mut mem = NullModel;
         for &(r, v) in &entries {
-            spa.scatter(r, v as f64, &mut mem);
+            spa.scatter_combine(r, v as f64, Plus::new(), &mut mem);
             dense[r as usize] += v as f64;
             touched[r as usize] = true;
         }
         let count = touched.iter().filter(|&&t| t).count();
         let mut rows = vec![0u32; count];
         let mut vals = vec![0.0f64; count];
-        let n = spa.drain_into(&mut rows, &mut vals, true, &mut mem);
+        let n = spa.drain_into(&mut rows, &mut vals, true, Plus::new(), &mut mem);
         prop_assert_eq!(n, count);
         for (r, v) in rows.iter().zip(&vals) {
             prop_assert_eq!(*v, dense[*r as usize]);
@@ -113,7 +114,7 @@ proptest! {
         let mut out_rows = vec![0u32; cap.max(1)];
         let mut out_vals = vec![0.0f64; cap.max(1)];
         let mut heap = KwayHeap::<f64>::new(views.len());
-        let n = heap.add_column(&views, &mut out_rows, &mut out_vals, &mut NullModel);
+        let n = heap.add_column(&views, &mut out_rows, &mut out_vals, Plus::new(), &mut NullModel);
         prop_assert_eq!(n, oracle.len());
         for (i, (&r, &v)) in oracle.iter().enumerate() {
             prop_assert_eq!(out_rows[i], r);

@@ -28,6 +28,7 @@ use spk_sparse::{ColView, CscMatrix, Scalar, SparseError};
 use spkadd::hashtab::{HashAccumulator, SymbolicHashTable};
 use spkadd::heap::KwayHeap;
 use spkadd::mem::NullModel;
+use spkadd::monoid::Plus;
 use spkadd::parallel::{exclusive_prefix_sum, plan_ranges, split_output, Scheduling};
 
 /// Options for the local SpGEMM.
@@ -126,13 +127,14 @@ pub fn spgemm_hash<T: Scalar>(
                 let bj = b.col(j);
                 for (l, bv) in bj.iter() {
                     for (r, av) in a.col(l as usize).iter() {
-                        ht.insert_add(r, av * bv, &mut mem);
+                        ht.insert_combine(r, av * bv, Plus::new(), &mut mem);
                     }
                 }
                 let written = ht.drain_into(
                     &mut chunk.rows[lo..hi],
                     &mut chunk.vals[lo..hi],
                     opts.sorted_output,
+                    Plus::new(),
                     &mut mem,
                 );
                 debug_assert_eq!(written, hi - lo);
@@ -226,6 +228,7 @@ pub fn spgemm_heap<T: Scalar>(
                     &views,
                     &mut chunk.rows[lo..hi],
                     &mut chunk.vals[lo..hi],
+                    Plus::new(),
                     &mut mem,
                 );
                 debug_assert_eq!(written, hi - lo);

@@ -8,7 +8,7 @@
 
 use spkadd_suite::gen::{generate_collection, Pattern};
 use spkadd_suite::sparse::CscMatrix;
-use spkadd_suite::{spkadd_auto, spkadd_with, Algorithm, Options, SpkAdd};
+use spkadd_suite::{spkadd_with, Algorithm, Options, SpkAdd};
 
 fn main() {
     // 16 sparse matrices, 65 536 × 64, ~32 nonzeros per column — the
@@ -47,7 +47,7 @@ fn main() {
 
     // 3. Let the library pick (Fig 2 decision surface).
     let t = spk_obs::now();
-    let auto = spkadd_auto(&refs, &opts).expect("auto spkadd");
+    let auto = spkadd_with(&refs, Algorithm::Auto, &opts).expect("auto spkadd");
     println!(
         "auto:        {} output nnz in {:.1} ms",
         auto.nnz(),

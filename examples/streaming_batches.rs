@@ -16,7 +16,7 @@
 use spkadd_suite::gen::{generate_collection, Pattern};
 use spkadd_suite::kadd::add_pair;
 use spkadd_suite::sparse::CscMatrix;
-use spkadd_suite::{spkadd_with, Algorithm, Options, SpkAdd};
+use spkadd_suite::{spkadd_with, Algorithm, Options, Plus, SpkAdd};
 
 fn main() {
     let (m, n, d) = (1 << 15, 64, 8);
@@ -39,7 +39,7 @@ fn main() {
         let batch_sum = plan.execute(&refs).expect("batch spkadd");
         running = Some(match running.take() {
             None => batch_sum,
-            Some(acc) => add_pair(&acc, &batch_sum, 0, Default::default()),
+            Some(acc) => add_pair(&acc, &batch_sum, 0, Default::default(), Plus::new()),
         });
         if (i + 1) % 4 == 0 {
             println!(

@@ -33,12 +33,15 @@ pub use spkadd as kadd;
 /// The front door, re-exported at the top level: build a reusable
 /// execution plan once ([`SpkAdd`] → [`SpkAddPlan`]), execute it over as
 /// many collections as you like — workspaces are retained across calls.
+/// [`SpkAddPlan::execute`] returns the sum;
+/// [`SpkAddPlan::execute_into_timed`] recycles an output buffer and
+/// returns the [`ExecuteStats`].
 pub use spkadd::{SpkAdd, SpkAddPlan};
 
-/// One-shot compatibility shims over a throwaway plan: add a collection
-/// with an explicitly chosen algorithm ([`Algorithm::Auto`] picks with
-/// the paper's Fig 2 heuristics).
-pub use spkadd::{spkadd_auto, spkadd_with, Algorithm, Options};
+/// The one-shot shim over a throwaway plan: add a collection with an
+/// explicitly chosen algorithm ([`Algorithm::Auto`] picks with the
+/// paper's Fig 2 heuristics).
+pub use spkadd::{spkadd_with, Algorithm, Options};
 
 /// Per-execution instrumentation: phase timings plus the pattern-cache
 /// outcome ([`PatternOutcome::Hit`] means the symbolic phase was skipped
@@ -48,7 +51,7 @@ pub use spkadd::{ExecuteStats, PatternCacheStats, PatternOutcome};
 /// Monoid-generic reduction: the same SpKAdd machinery folding under
 /// any associative combine — `Or` for structural unions, `Min`/
 /// [`MaxPlus`] for tropical semirings, [`ThresholdedPlus`] for filtered
-/// merges. [`spkadd_with`] is [`spkadd_with_monoid`] with [`Plus`].
-pub use spkadd::{
-    spkadd_with_monoid, MaxPlus, Min, Monoid, Or, Plus, SaturatingCount, ThresholdedPlus,
-};
+/// merges. Build the plan with
+/// [`SpkAdd::build_with_monoid`](spkadd::SpkAdd::build_with_monoid);
+/// [`SpkAdd::build`](spkadd::SpkAdd::build) is that with [`Plus`].
+pub use spkadd::{MaxPlus, Min, Monoid, Or, Plus, SaturatingCount, ThresholdedPlus};
