@@ -10,7 +10,7 @@
 //! communication saving, which comes from shrinking the per-layer grid
 //! as layers grow on a fixed process budget.
 //!
-//! Usage: `cargo run --release -p spk-bench --bin ablation_3d
+//! Usage: `cargo run --release -p spk_bench --bin ablation_3d
 //! [--n N] [--deg D] [--grid Q] [--layers 1,2,4,8] [--threads T]`
 
 use spk_bench::{fmt_secs, print_table, Args};

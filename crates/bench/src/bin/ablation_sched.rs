@@ -7,7 +7,7 @@
 //! policies on an RMAT collection and, as a control, on a uniform ER
 //! collection where the policies should tie.
 //!
-//! Usage: `cargo run --release -p spk-bench --bin ablation_sched
+//! Usage: `cargo run --release -p spk_bench --bin ablation_sched
 //! [--rows R] [--cols C] [--d D] [--k K] [--threads T] [--reps N]`
 
 use spk_bench::{fmt_secs, print_table, refs, time_best, workloads, Args};

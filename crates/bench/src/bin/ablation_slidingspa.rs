@@ -7,7 +7,7 @@
 //! O(m)-per-thread array falls out of cache as m grows, which is exactly
 //! when partitioning pays.
 //!
-//! Usage: `cargo run --release -p spk-bench --bin ablation_slidingspa
+//! Usage: `cargo run --release -p spk_bench --bin ablation_slidingspa
 //! [--cols C] [--d D] [--k K] [--threads T] [--reps N]`
 
 use spk_bench::{fmt_secs, print_table, refs, time_best, workloads, Args};

@@ -8,7 +8,7 @@
 //! the upper-bound/no-symbolic path with post-compaction) for collections
 //! with cf ∈ {1.5, 4, 16}.
 //!
-//! Usage: `cargo run --release -p spk-bench --bin ablation_symbolic
+//! Usage: `cargo run --release -p spk_bench --bin ablation_symbolic
 //! [--rows R] [--cols C] [--d D] [--k K] [--threads T]`
 
 use spk_bench::{fmt_secs, print_table, refs, Args};

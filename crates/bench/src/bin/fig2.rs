@@ -5,7 +5,7 @@
 //! Legend: H = Hash, SH = Sliding Hash, 2T = 2-way Tree,
 //! 2I = 2-way Incremental, HP = Heap, SP = SPA.
 //!
-//! Usage: `cargo run --release -p spk-bench --bin fig2 [--rows R]
+//! Usage: `cargo run --release -p spk_bench --bin fig2 [--rows R]
 //! [--cols C] [--k 4,8,...] [--d 16,...] [--threads T] [--guard OPS]`
 
 use spk_bench::{print_table, refs, time_best, workloads, Args};

@@ -5,7 +5,7 @@
 //! each algorithm. The thread sweep defaults to 1..#cores of the host
 //! (the paper sweeps 1..48 on Skylake).
 //!
-//! Usage: `cargo run --release -p spk-bench --bin fig3 [--rows R]
+//! Usage: `cargo run --release -p spk_bench --bin fig3 [--rows R]
 //! [--cols C] [--k K] [--threads-list 1,2,4] [--reps N]`
 
 use spk_bench::{fmt_secs, print_table, refs, time_best, workloads, Args};

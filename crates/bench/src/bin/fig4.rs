@@ -9,7 +9,7 @@
 //! last-level misses per table size are printed (their minima move with
 //! the cache size, which is the figure's point).
 //!
-//! Usage: `cargo run --release -p spk-bench --bin fig4 [--sizes 64,...]
+//! Usage: `cargo run --release -p spk_bench --bin fig4 [--sizes 64,...]
 //! [--threads T] [--reps N] [--skip-sim]`
 
 use spk_bench::{fmt_secs, print_table, refs, time_best, workloads, Args};

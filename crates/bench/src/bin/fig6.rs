@@ -8,8 +8,12 @@
 //! heap SpKAdd), Sorted Hash, and Unsorted Hash (multiplies skip their
 //! per-column sort because hash SpKAdd accepts unsorted inputs).
 //!
-//! Usage: `cargo run --release -p spk-bench --bin fig6 [--grid Q]
-//! [--n N] [--deg D] [--threads T]`
+//! Usage: `cargo run --release -p spk_bench --bin fig6 [--grid Q]
+//! [--n N] [--deg D] [--threads T] [--stages K] [--d D]`
+//!
+//! Per-process times are single-worker times (the processes, not the
+//! multiplies inside them, are what runs in parallel), so the "sum"
+//! columns are not comparable with runs that predate that change.
 
 use spk_bench::{fmt_secs, print_table, Args};
 use spk_gen::protein_similarity_matrix;

@@ -10,7 +10,7 @@
 //! * Heap              → work ≈ lg-factor, I/O ≈ 1 (streams inputs once);
 //! * SPA / Hash / Sliding Hash → ≈ 1 in both (work- and I/O-optimal).
 //!
-//! Usage: `cargo run --release -p spk-bench --bin table1 [--rows R]
+//! Usage: `cargo run --release -p spk_bench --bin table1 [--rows R]
 //! [--cols C] [--d D] [--k 2,4,...]`
 
 use spk_bench::{print_table, refs, workloads, Args};

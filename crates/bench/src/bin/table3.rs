@@ -1,7 +1,7 @@
 //! Table III: runtime of all eight SpKAdd algorithms on ER collections
 //! across a (k, d) grid.
 //!
-//! Usage: `cargo run --release -p spk-bench --bin table3 [--full]
+//! Usage: `cargo run --release -p spk_bench --bin table3 [--full]
 //! [--rows R] [--cols C] [--k 4,32,128] [--d 16,256,2048] [--threads T]
 //! [--reps N] [--guard OPS]`
 //!

@@ -7,7 +7,7 @@
 //! a 1/T share of the LLC (`--llc-kb`, default 512 KB ≈ 32 MB / 64
 //! hardware threads at paper scale).
 //!
-//! Usage: `cargo run --release -p spk-bench --bin table5 [--llc-kb KB]`
+//! Usage: `cargo run --release -p spk_bench --bin table5 [--llc-kb KB]`
 
 use spk_bench::{print_table, refs, workloads, Args};
 use spk_cachesim::CacheHierarchy;

@@ -51,8 +51,9 @@ pub struct HashAccumulator<T> {
     vals: Vec<T>,
     occupied: Vec<u32>,
     mask: usize,
-    /// Scratch for sorted emission, reused across columns.
-    sort_scratch: Vec<(u32, T)>,
+    /// Scratch for sorted emission, reused across columns: packed
+    /// `(row << 32) | slot` keys.
+    sort_scratch: Vec<u64>,
 }
 
 impl<T: Element> HashAccumulator<T> {
@@ -169,15 +170,20 @@ impl<T: Element> HashAccumulator<T> {
         let n = self.occupied.len();
         let mut written = 0usize;
         if sorted {
+            // Rows are distinct within a column, so sorting the packed
+            // keys orders by row alone; the slot half then locates the
+            // value without moving it through the sort.
             self.sort_scratch.clear();
             for &slot in &self.occupied {
                 let s = slot as usize;
-                self.sort_scratch.push((self.keys[s], self.vals[s]));
+                self.sort_scratch
+                    .push((u64::from(self.keys[s]) << 32) | u64::from(slot));
                 self.keys[s] = EMPTY_KEY;
             }
-            self.sort_scratch.sort_unstable_by_key(|&(r, _)| r);
+            self.sort_scratch.sort_unstable();
             mem.op(n as u64); // emission pass; sorting cost grows n lg n
-            for &(r, v) in self.sort_scratch.iter() {
+            for &key in self.sort_scratch.iter() {
+                let (r, v) = ((key >> 32) as u32, self.vals[key as u32 as usize]);
                 if O::MAY_FILTER && !monoid.keep(&v) {
                     continue;
                 }
@@ -516,6 +522,68 @@ mod tests {
             assert!(!sym.insert(r, &mut mem));
         }
         assert_eq!(sym.len(), 300);
+    }
+
+    /// Drains `inserts` through a table that starts at the minimum
+    /// capacity (so it rehashes as it fills) and checks the sorted
+    /// emission against an ordered-map oracle: same rows, same value
+    /// bits, same filtering.
+    fn check_sorted_drain_against_oracle<O: Monoid<Value = f64>>(inserts: &[(u32, f64)], m: O) {
+        let mut oracle = std::collections::BTreeMap::new();
+        for &(r, v) in inserts {
+            m.combine(oracle.entry(r).or_insert(O::IDENTITY), v);
+        }
+        let expected: Vec<(u32, u64)> = oracle
+            .into_iter()
+            .filter(|(_, v)| m.keep(v))
+            .map(|(r, v)| (r, v.to_bits()))
+            .collect();
+
+        let mut ht = HashAccumulator::<f64>::with_capacity(0);
+        let initial = ht.capacity();
+        let mut mem = NullModel;
+        for &(r, v) in inserts {
+            ht.insert_combine(r, v, m, &mut mem);
+        }
+        assert!(ht.capacity() > initial, "the table must have rehashed");
+        let mut rows = vec![0u32; ht.len()];
+        let mut vals = vec![0.0f64; ht.len()];
+        let n = ht.drain_into(&mut rows, &mut vals, true, m, &mut mem);
+        let got: Vec<(u32, u64)> = rows[..n]
+            .iter()
+            .zip(&vals[..n])
+            .map(|(&r, v)| (r, v.to_bits()))
+            .collect();
+        assert_eq!(got, expected);
+        assert!(ht.is_empty());
+    }
+
+    #[test]
+    fn sorted_drain_matches_pair_sort_oracle() {
+        use crate::monoid::ThresholdedPlus;
+        // Deterministic scatter of rows, hot rows repeated, values with
+        // mixed signs so some sums cancel below the threshold.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as u32
+        };
+        let mut inserts = Vec::new();
+        for _ in 0..600 {
+            let r = next() % 257;
+            let v = f64::from(next() % 9) - 4.0;
+            inserts.push((r * 7, v));
+        }
+        // Rows at the top of the index range (u32::MAX is the empty key).
+        for d in 1..40u32 {
+            inserts.push((u32::MAX - d, f64::from(d)));
+            inserts.push((u32::MAX - 1, 0.5));
+        }
+        inserts.push((0, 3.0));
+        check_sorted_drain_against_oracle(&inserts, Plus::new());
+        check_sorted_drain_against_oracle(&inserts, ThresholdedPlus::new(2.5));
     }
 
     #[test]

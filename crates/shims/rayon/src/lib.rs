@@ -15,6 +15,13 @@
 //! back in order, so `map().collect()` preserves input order exactly like
 //! rayon's indexed parallel iterators. When the effective thread count is 1
 //! (or the input is tiny) everything runs inline with zero overhead.
+//!
+//! * A region entered from inside a worker this shim spawned runs inline on
+//!   that worker and keeps its [`current_thread_index`], so nested
+//!   parallelism never multiplies OS threads — a real fixed-size rayon pool
+//!   never grows past its size either. Top-level regions, single-item
+//!   regions and regions under [`ThreadPool::install`] on a non-worker
+//!   thread still fork.
 
 // No unsafe anywhere in this crate (checked repo-wide by spk-lint's
 // safety-comment rule where unsafe *is* allowed).
@@ -28,6 +35,9 @@ thread_local! {
     /// Worker index within a fork-join region, for
     /// [`current_thread_index`].
     static WORKER_INDEX: Cell<Option<usize>> = const { Cell::new(None) };
+    /// Set only on threads [`fork_join`] spawned: regions entered there
+    /// run inline instead of spawning again.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Number of worker threads parallel operations will use.
@@ -114,6 +124,10 @@ where
     R: Send,
     F: Fn(Vec<T>) -> R + Sync,
 {
+    if IN_WORKER.with(|w| w.get()) {
+        // Nested region: this worker already is the region's parallelism.
+        return vec![f(items)];
+    }
     let threads = current_num_threads();
     if threads <= 1 || items.len() <= 1 {
         let prev = WORKER_INDEX.with(|i| i.replace(Some(0)));
@@ -132,6 +146,7 @@ where
                 s.spawn(move || {
                     POOL_THREADS.with(|t| t.set(pool_threads));
                     WORKER_INDEX.with(|i| i.set(Some(idx)));
+                    IN_WORKER.with(|w| w.set(true));
                     f(chunk)
                 })
             })
@@ -310,6 +325,68 @@ mod tests {
             .install(current_num_threads);
         assert_eq!(n, 3);
         assert!(current_num_threads() >= 1);
+    }
+
+    /// Thread ids of the threads a top-level `items`-wide region runs on.
+    fn region_thread_ids(items: usize) -> Vec<std::thread::ThreadId> {
+        (0..items)
+            .into_par_iter()
+            .map(|_| std::thread::current().id())
+            .collect()
+    }
+
+    fn with_two_threads<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+        ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .unwrap()
+            .install(f)
+    }
+
+    #[test]
+    fn nested_region_runs_inline_on_its_worker() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let checked = AtomicUsize::new(0);
+        with_two_threads(|| {
+            (0usize..2).into_par_iter().for_each(|_| {
+                let outer_id = std::thread::current().id();
+                let outer_idx = current_thread_index();
+                assert!(outer_idx.is_some());
+                let inner: Vec<_> = (0usize..8)
+                    .into_par_iter()
+                    .map(|_| (std::thread::current().id(), current_thread_index()))
+                    .collect();
+                assert_eq!(inner.len(), 8);
+                for (id, idx) in inner {
+                    assert_eq!(id, outer_id, "nested item left its worker");
+                    assert_eq!(idx, outer_idx, "nested region lost the worker index");
+                }
+                checked.fetch_add(1, Ordering::Relaxed);
+            });
+        });
+        assert_eq!(checked.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn top_level_region_uses_distinct_threads() {
+        let ids = with_two_threads(|| region_thread_ids(2));
+        assert_eq!(ids.len(), 2);
+        assert_ne!(ids[0], ids[1], "a 2-thread region must fork");
+        assert!(!ids.contains(&std::thread::current().id()));
+    }
+
+    #[test]
+    fn single_item_region_does_not_mark_caller_as_worker() {
+        let inner = with_two_threads(|| {
+            vec![()]
+                .into_par_iter()
+                .map(|()| (IN_WORKER.with(|w| w.get()), region_thread_ids(2)))
+                .collect::<Vec<_>>()
+        });
+        let (marked, ids) = &inner[0];
+        assert!(!marked, "a single-item region runs on its caller, unmarked");
+        assert_ne!(ids[0], ids[1], "a region under it must still fork");
+        assert_eq!(current_thread_index(), None);
     }
 
     #[test]

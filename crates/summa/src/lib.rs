@@ -14,14 +14,22 @@
 //! broadcast volume is accounted in bytes, and the two computational
 //! phases (local multiply, SpKAdd) are timed separately — which is
 //! exactly what Fig 6 reports ("excluding the communication costs").
-//! See DESIGN.md, substitution 2.
+//! See DESIGN.md, "Simulated sparse SUMMA".
+//!
+//! The simulated processes are the unit of parallelism: they are spread
+//! over the worker threads, and the multiplies and SpKAdd inside one
+//! process run on that process's worker (nested regions run inline), as
+//! one MPI rank would. The global `C` is assembled by block concatenation:
+//! the disjoint, column-sorted process blocks are stacked vertically per
+//! block column and the block columns side by side, with no sort and no
+//! duplicate merge.
 
 // No unsafe anywhere in this crate (checked repo-wide by spk-lint's
 // safety-comment rule where unsafe *is* allowed).
 #![forbid(unsafe_code)]
 
 use rayon::prelude::*;
-use spk_sparse::{CooMatrix, CscMatrix, SparseError};
+use spk_sparse::{CscMatrix, SparseError};
 use spk_spgemm::{spgemm_hash, SpgemmOptions};
 use spkadd::{Algorithm, Options, SpkaddError};
 
@@ -85,6 +93,12 @@ impl Default for SummaConfig {
 }
 
 /// Per-process phase timings (seconds).
+///
+/// Each process runs on a single worker thread (regions nested inside it
+/// run inline), so these are single-worker times. Earlier versions ran
+/// each process's multiplies and SpKAdd on nested worker threads, so the
+/// "sum" columns of `fig6` cannot be compared with runs made before
+/// processes became the unit of parallelism.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ProcessTiming {
     /// Total local-multiply time across all stages.
@@ -98,7 +112,10 @@ pub struct ProcessTiming {
 pub struct SummaReport {
     /// The assembled global product.
     pub result: CscMatrix<f64>,
-    /// Per-process timings, indexed `i * grid + j`.
+    /// Per-process single-worker timings, indexed `i * grid + j` (see
+    /// [`ProcessTiming`]; the `*_total` sums add these up across
+    /// processes that may have run concurrently, so they can exceed the
+    /// wall clock).
     pub per_process: Vec<ProcessTiming>,
     /// Simulated broadcast volume in bytes (A and B blocks, `q−1`
     /// receivers each).
@@ -213,24 +230,28 @@ pub fn run_summa(
 
     let run = || -> Result<SummaReport, SummaError> {
         // 2D block distribution.
-        let a_blocks: Vec<Vec<CscMatrix<f64>>> = (0..q)
-            .into_par_iter()
-            .map(|i| {
-                let rows = a.slice_rows(bound(i, q, m), bound(i + 1, q, m));
-                (0..q)
-                    .map(|l| rows.slice_cols(bound(l, q, kk), bound(l + 1, q, kk)))
-                    .collect()
-            })
-            .collect();
-        let b_blocks: Vec<Vec<CscMatrix<f64>>> = (0..q)
-            .into_par_iter()
-            .map(|l| {
-                let rows = b.slice_rows(bound(l, q, kk), bound(l + 1, q, kk));
-                (0..q)
-                    .map(|j| rows.slice_cols(bound(j, q, n), bound(j + 1, q, n)))
-                    .collect()
-            })
-            .collect();
+        let (a_blocks, b_blocks) = {
+            let _span = spk_obs::span!("summa.distribute");
+            let a_blocks: Vec<Vec<CscMatrix<f64>>> = (0..q)
+                .into_par_iter()
+                .map(|i| {
+                    let rows = a.slice_rows(bound(i, q, m), bound(i + 1, q, m));
+                    (0..q)
+                        .map(|l| rows.slice_cols(bound(l, q, kk), bound(l + 1, q, kk)))
+                        .collect()
+                })
+                .collect();
+            let b_blocks: Vec<Vec<CscMatrix<f64>>> = (0..q)
+                .into_par_iter()
+                .map(|l| {
+                    let rows = b.slice_rows(bound(l, q, kk), bound(l + 1, q, kk));
+                    (0..q)
+                        .map(|j| rows.slice_cols(bound(j, q, n), bound(j + 1, q, n)))
+                        .collect()
+                })
+                .collect();
+            (a_blocks, b_blocks)
+        };
 
         // Simulated broadcast volume: in stage s, A(i,s) goes to q−1 row
         // peers and B(s,j) to q−1 column peers.
@@ -250,6 +271,7 @@ pub fn run_summa(
             scheduling: Default::default(),
         };
         let mut add_opts = Options::default();
+        // Sorted blocks are what lets C be assembled by concatenation.
         add_opts.sorted_output = true;
         // Sortedness of the intermediates is known by construction.
         add_opts.validate_sorted = false;
@@ -261,9 +283,12 @@ pub fn run_summa(
         }
 
         // Each process: q local multiplies (one per stage), then SpKAdd.
-        let outcomes: Result<Vec<(usize, CscMatrix<f64>, ProcessTiming)>, SummaError> = (0..q * q)
+        // Processes are the unit of parallelism; the regions inside one
+        // run inline on its worker. `map` keeps pid order.
+        let outcomes: Result<Vec<(CscMatrix<f64>, ProcessTiming)>, SummaError> = (0..q * q)
             .into_par_iter()
             .map(|pid| {
+                let _span = spk_obs::span!("summa.process");
                 let (i, j) = (pid / q, pid % q);
                 let mut timing = ProcessTiming::default();
                 let mut partials: Vec<CscMatrix<f64>> = Vec::with_capacity(q);
@@ -277,25 +302,27 @@ pub fn run_summa(
                 let t0 = spk_obs::now();
                 let block = spkadd::spkadd_with(&refs, alg, &add_opts)?;
                 timing.spkadd += t0.elapsed().as_secs_f64();
-                Ok((pid, block, timing))
+                Ok((block, timing))
             })
             .collect();
-        let mut outcomes = outcomes?;
-        outcomes.sort_by_key(|(pid, _, _)| *pid);
+        let (blocks, per_process): (Vec<CscMatrix<f64>>, Vec<ProcessTiming>) =
+            outcomes?.into_iter().unzip();
 
-        // Reassemble the global product.
-        let total_nnz: usize = outcomes.iter().map(|(_, b, _)| b.nnz()).sum();
-        let mut coo = CooMatrix::with_capacity(m, n, total_nnz);
-        let mut per_process = vec![ProcessTiming::default(); q * q];
-        for (pid, block, timing) in &outcomes {
-            let (i, j) = (pid / q, pid % q);
-            let (r_off, c_off) = (bound(i, q, m) as u32, bound(j, q, n) as u32);
-            for (r, c, v) in block.iter() {
-                coo.push(r + r_off, c + c_off, v);
-            }
-            per_process[*pid] = *timing;
-        }
-        let result = coo.to_csc_sum_duplicates();
+        // Reassemble the global product. The blocks tile C disjointly and
+        // have sorted columns, so C is the hstack of the q block-column
+        // vstacks — exactly the canonical (sorted, duplicate-free) C.
+        let result = {
+            let _span = spk_obs::span!("summa.assemble");
+            let block_cols: Vec<CscMatrix<f64>> = (0..q)
+                .into_par_iter()
+                .map(|j| {
+                    let col: Vec<&CscMatrix<f64>> = (0..q).map(|i| &blocks[i * q + j]).collect();
+                    CscMatrix::vstack(&col)
+                })
+                .collect::<Result<_, _>>()?;
+            let refs: Vec<&CscMatrix<f64>> = block_cols.iter().collect();
+            CscMatrix::hstack(&refs)?
+        };
 
         Ok(SummaReport {
             result,
@@ -456,6 +483,47 @@ mod tests {
             );
             assert_eq!(report.per_process.len(), 16);
             assert!(report.bytes_broadcast > 0);
+        }
+    }
+
+    /// The assembled C is bit-identical to a serial sorted whole-matrix
+    /// product — on every grid, reduction and thread count, and on a shape
+    /// no grid side above 1 divides. Small-integer values keep every
+    /// partial sum exact, so the differing summation orders of the two
+    /// paths cannot excuse a mismatch.
+    #[test]
+    fn summa_result_equals_serial_product_exactly() {
+        let small_ints = |mut m: CscMatrix<f64>| {
+            m.map_values(|v| (v * 7.0).floor() - 3.0);
+            m
+        };
+        let a = small_ints(spk_gen::er(47, 41, 4, 200));
+        let b = small_ints(spk_gen::er(41, 37, 4, 201));
+        let serial = SpgemmOptions {
+            sorted_output: true,
+            threads: 1,
+            ..Default::default()
+        };
+        let direct = spgemm_hash(&a, &b, &serial).unwrap();
+        assert!(direct.is_sorted());
+        for grid in 1..=5 {
+            for reduction in [
+                ReductionKind::Heap,
+                ReductionKind::SortedHash,
+                ReductionKind::UnsortedHash,
+            ] {
+                for threads in [0, 1, 3] {
+                    let cfg = SummaConfig {
+                        grid,
+                        reduction,
+                        threads,
+                    };
+                    let report = run_summa(&a, &b, &cfg).unwrap();
+                    assert_eq!(report.result, direct, "{cfg:?}");
+                    assert!(report.result.is_sorted(), "{cfg:?}");
+                    assert_eq!(report.per_process.len(), grid * grid);
+                }
+            }
         }
     }
 
