@@ -220,56 +220,6 @@ impl<T: Element> HashAccumulator<T> {
         written
     }
 
-    /// Numeric-only emission for a pattern-cache hit: the output row
-    /// order is already known (cached from a cold execution of the same
-    /// structure), so instead of draining in hash-table order and
-    /// sorting, each cached row is probed and its accumulated value
-    /// copied out — O(nnz) with no sort, regardless of output ordering.
-    /// Resets the table for the next column.
-    ///
-    /// Every row in `rows` must be present (the cached structure is the
-    /// exact set union of the inputs, and the caller only takes this path
-    /// for non-filtering monoids).
-    pub fn gather_reset<M: MemModel>(&mut self, rows: &[u32], out_vals: &mut [T], mem: &mut M) {
-        debug_assert_eq!(rows.len(), self.occupied.len(), "cached structure stale");
-        for (r, out) in rows.iter().zip(out_vals.iter_mut()) {
-            let mut h = hash_row(*r, self.mask);
-            loop {
-                mem.op(1);
-                mem.read(self.keys.as_ptr() as usize + h * 4, 4);
-                let k = self.keys[h];
-                if k == *r {
-                    *out = self.vals[h];
-                    mem.read(
-                        self.vals.as_ptr() as usize + h * std::mem::size_of::<T>(),
-                        std::mem::size_of::<T>(),
-                    );
-                    break;
-                }
-                // The load factor never exceeds 7/8, so an absent row's
-                // probe chain always ends at an empty slot instead of
-                // cycling — unreachable unless the cached structure is
-                // stale (guarded by the fingerprint).
-                debug_assert_ne!(k, EMPTY_KEY, "cached row absent from table");
-                if k == EMPTY_KEY {
-                    *out = T::default();
-                    break;
-                }
-                h = (h + 1) & self.mask;
-            }
-            mem.write(out as *const T as usize, std::mem::size_of::<T>());
-        }
-        self.clear();
-    }
-
-    /// Clears without emitting (error-recovery path).
-    pub fn clear(&mut self) {
-        for &slot in &self.occupied {
-            self.keys[slot as usize] = EMPTY_KEY;
-        }
-        self.occupied.clear();
-    }
-
     /// Doubles the capacity and rehashes the live entries.
     #[cold]
     fn grow_rehash<M: MemModel>(&mut self, mem: &mut M) {

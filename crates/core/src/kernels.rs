@@ -50,32 +50,6 @@ pub fn hash_add_column<T: Element, O: Monoid<Value = T>, M: MemModel>(
     ht.drain_into(out_rows, out_vals, sorted, monoid, mem)
 }
 
-/// Numeric-only HashAdd for a pattern-cache hit: the output rows are
-/// already in place (copied from the cached structure), so the kernel
-/// accumulates as usual but *gathers* by the known row order instead of
-/// draining and sorting — the per-column sort, the dominant non-streaming
-/// cost of sorted hash emission, disappears along with the symbolic pass.
-///
-/// The accumulation loop is byte-identical to [`hash_add_column`]'s,
-/// so each row's combine order (and therefore every floating-point
-/// result) matches a cold execution bit for bit.
-pub fn hash_numeric_only_column<T: Element, O: Monoid<Value = T>, M: MemModel>(
-    cols: &[ColView<'_, T>],
-    ht: &mut HashAccumulator<T>,
-    rows: &[u32],
-    out_vals: &mut [T],
-    monoid: O,
-    mem: &mut M,
-) {
-    for col in cols {
-        stream_column(col, mem);
-        for (r, v) in col.iter() {
-            ht.insert_combine(r, v, monoid, mem);
-        }
-    }
-    ht.gather_reset(rows, out_vals, mem);
-}
-
 /// HashSymbolic (Algorithm 6): counts the distinct rows across the input
 /// columns — `nnz(B(:,j))`. Values are never touched: output *structure*
 /// is the set union of input structures, independent of the monoid.
@@ -116,27 +90,6 @@ pub fn spa_add_column<T: Element, O: Monoid<Value = T>, M: MemModel>(
         }
     }
     spa.drain_into(out_rows, out_vals, sorted, monoid, mem)
-}
-
-/// Numeric-only SPAAdd for a pattern-cache hit — [`spa_add_column`]
-/// with the emission replaced by a gather over the cached row order (no
-/// sort of the touched-index list). Scatter order is identical to the
-/// cold kernel, so results match bit for bit.
-pub fn spa_numeric_only_column<T: Element, O: Monoid<Value = T>, M: MemModel>(
-    cols: &[ColView<'_, T>],
-    spa: &mut Spa<T>,
-    rows: &[u32],
-    out_vals: &mut [T],
-    monoid: O,
-    mem: &mut M,
-) {
-    for col in cols {
-        stream_column(col, mem);
-        for (r, v) in col.iter() {
-            spa.scatter_combine(r, v, monoid, mem);
-        }
-    }
-    spa.gather_reset(rows, out_vals, mem);
 }
 
 /// Symbolic phase via SPA (§II-D notes heap and SPA also work): counts

@@ -8,11 +8,14 @@
 //! thread-private workspaces **borrowed from the caller's
 //! [`WorkspacePool`]** — a plan executed repeatedly reuses its tables,
 //! SPA panels, and heap buffers instead of reallocating them per call.
+//!
+//! A pattern-cache hit runs none of the column kernels: the output
+//! structure is known, and the cached pattern's scatter map says where
+//! each input entry goes, so the hit's numeric phase is a single
+//! scatter of the input values in the same fold order the kernels use
+//! (see `kway_numeric_cached` and [`crate::pattern`]).
 
-use crate::kernels::{
-    hash_add_column, hash_numeric_only_column, heap_add_column, spa_add_column,
-    spa_numeric_only_column,
-};
+use crate::kernels::{hash_add_column, heap_add_column, spa_add_column};
 use crate::mem::NullModel;
 use crate::monoid::Monoid;
 use crate::parallel::{exclusive_prefix_sum, exclusive_prefix_sum_into, plan_ranges, split_output};
@@ -446,36 +449,38 @@ pub(crate) fn kway_numeric<T: Element, O: Monoid<Value = T>>(
     (out, decisions)
 }
 
-/// Numeric-only driver for a pattern-cache hit: the output structure is
-/// already known, so the symbolic phase is skipped entirely — the cached
-/// `colptr`/`rowidx` are copied into the (recycled) output buffers and
-/// only values are computed. The hash and SPA kernels additionally skip
-/// their per-column output sort via [`HashAccumulator::gather_reset`] /
-/// [`Spa::gather_reset`] (the row order is the cached one); the heap and
-/// sliding kernels run their normal numeric pass into the exact
-/// per-column windows, overwriting the pre-copied rows with identical
-/// values.
+/// Numeric driver for a pattern-cache hit: one pure scatter. The output
+/// structure is already known, so the symbolic phase is skipped — the
+/// cached `colptr`/`rowidx` are copied into the (recycled) output buffers
+/// — and every input entry is written straight to its slot through the
+/// pattern's [`ScatterMap`] (built here by the first hit): for each
+/// weight-balanced output chunk, the operands are swept in order over the
+/// chunk's columns, storing a slot's first touch and combining the rest.
+/// That is operand order, then entry order — the order every k-way kernel
+/// folds duplicates in — so the result matches a cold execution bit for
+/// bit whichever kernel produced the cached structure.
+///
+/// The per-chunk kernel decisions are still resolved (a memoized
+/// dispatch replays the cold run's), so a hit reports the same
+/// histogram and `kway.dispatch.*` events as the cold run; no kernel
+/// runs, though.
 ///
 /// Only reached for non-filtering monoids (a filtering monoid's output
 /// structure is value-dependent, so the plan layer bypasses the cache),
 /// which also means every cached count is exact — no compaction pass.
 ///
-/// [`HashAccumulator::gather_reset`]: crate::hashtab::HashAccumulator::gather_reset
-/// [`Spa::gather_reset`]: crate::spa::Spa::gather_reset
-#[allow(clippy::too_many_arguments)]
+/// [`ScatterMap`]: crate::pattern::ScatterMap
 pub(crate) fn kway_numeric_cached<T: Element, O: Monoid<Value = T>>(
     mats: &[&CscMatrix<T>],
     pattern: &Pattern,
     dispatch: &KernelDispatch,
     monoid: O,
     ctx: &DriverCtx,
-    pool: &WorkspacePool<T>,
     recycle: RecycledBufs<T>,
 ) -> (CscMatrix<T>, Vec<NumericKernel>) {
     debug_assert!(!O::MAY_FILTER, "filtering monoids must bypass the cache");
     let n = mats[0].ncols();
     let m = mats[0].nrows();
-    let k = mats.len();
     debug_assert_eq!(pattern.colptr.len(), n + 1);
 
     let RecycledBufs {
@@ -488,7 +493,8 @@ pub(crate) fn kway_numeric_cached<T: Element, O: Monoid<Value = T>>(
     let nnz = *colptr.last().unwrap();
     rowidx.clear();
     rowidx.extend_from_slice(&pattern.rowidx);
-    values.clear();
+    // Every slot gets a first touch, so recycled values need no reset.
+    values.truncate(nnz);
     values.resize(nnz, T::default());
 
     let counts: Vec<usize> = colptr.windows(2).map(|w| w[1] - w[0]).collect();
@@ -497,89 +503,27 @@ pub(crate) fn kway_numeric_cached<T: Element, O: Monoid<Value = T>>(
     // the identical counts reproduce the identical ranges, so no chunk
     // is ever rescored on the warm path.
     let decisions = decide_kernels(mats, &colptr, &ranges, dispatch);
+    let map = pattern.scatter_map(mats, &ranges);
     let chunks = split_output(&colptr, &ranges, &mut rowidx, &mut values);
 
-    chunks
-        .into_par_iter()
-        .zip(decisions.clone().into_par_iter())
-        .for_each(|(chunk, kernel)| {
-            let mut views: Vec<ColView<'_, T>> = Vec::with_capacity(k);
-            let mut mem = NullModel;
-            let mut ws = pool.for_current_thread();
+    chunks.into_par_iter().for_each(|chunk| {
+        for (i, a) in mats.iter().enumerate() {
+            let (cp, vals) = (a.colptr(), a.values());
+            let base = map.base(i);
             for j in chunk.cols.clone() {
-                views.clear();
-                views.extend(mats.iter().map(|a| a.col(j)));
-                let lo = colptr[j] - chunk.base;
-                let hi = colptr[j + 1] - chunk.base;
-                let out_rows = &mut chunk.rows[lo..hi];
-                let out_vals = &mut chunk.vals[lo..hi];
-                match kernel {
-                    NumericKernel::Hash => {
-                        let ht = ws.hash();
-                        ht.reserve_for(hi - lo);
-                        hash_numeric_only_column(&views, ht, out_rows, out_vals, monoid, &mut mem);
-                    }
-                    NumericKernel::Spa => spa_numeric_only_column(
-                        &views,
-                        ws.spa(m),
-                        out_rows,
-                        out_vals,
-                        monoid,
-                        &mut mem,
-                    ),
-                    // The sliding and heap kernels emit rows themselves; with
-                    // exact cached counts they rewrite the pre-copied rows
-                    // with the same content, so only the symbolic skip (the
-                    // full-input sweep) is saved for these families.
-                    NumericKernel::SlidingHash => {
-                        let (ht, scratch) = ws.hash_and_scratch();
-                        let written = sliding_add_column(
-                            &views,
-                            m,
-                            ctx.budget_add,
-                            hi - lo,
-                            ht,
-                            out_rows,
-                            out_vals,
-                            ctx.sorted_output,
-                            ctx.inputs_sorted,
-                            monoid,
-                            scratch,
-                            &mut mem,
-                        );
-                        debug_assert_eq!(written, hi - lo, "cached count mismatch");
-                    }
-                    NumericKernel::SlidingSpa => {
-                        let (spa, scratch) = ws.spa_and_scratch(m.min(ctx.budget_add.max(1)));
-                        let written = sliding_spa_add_column(
-                            &views,
-                            m,
-                            ctx.budget_add,
-                            spa,
-                            out_rows,
-                            out_vals,
-                            ctx.sorted_output,
-                            ctx.inputs_sorted,
-                            monoid,
-                            scratch,
-                            &mut mem,
-                        );
-                        debug_assert_eq!(written, hi - lo, "cached count mismatch");
-                    }
-                    NumericKernel::Heap => {
-                        let written = heap_add_column(
-                            &views,
-                            ws.heap(k),
-                            out_rows,
-                            out_vals,
-                            monoid,
-                            &mut mem,
-                        );
-                        debug_assert_eq!(written, hi - lo, "cached count mismatch");
+                let out = &mut chunk.vals[colptr[j] - chunk.base..colptr[j + 1] - chunk.base];
+                let (lo, hi) = (cp[j], cp[j + 1]);
+                for (g, &v) in (base + lo..).zip(&vals[lo..hi]) {
+                    let (p, first) = map.slot(g);
+                    if first {
+                        out[p] = v;
+                    } else {
+                        monoid.combine(&mut out[p], v);
                     }
                 }
             }
-        });
+        }
+    });
 
     (
         CscMatrix::from_parts(m, n, colptr, rowidx, values),

@@ -296,7 +296,7 @@ pub struct Options {
     /// Capacity of the plan's pattern cache (LRU over collection
     /// structure fingerprints); `0` disables caching. When a collection
     /// with previously-seen sparsity is executed, the symbolic phase is
-    /// skipped and a numeric-only kernel scatters values into the cached
+    /// skipped and the values are scattered straight into the cached
     /// output structure — see [`pattern`] and
     /// [`SpkAdd::pattern_cache`](plan::SpkAdd::pattern_cache).
     pub pattern_cache: usize,
@@ -393,9 +393,12 @@ pub struct ExecuteStats {
     pub symbolic: f64,
     /// Seconds spent in the numeric addition phase.
     pub numeric: f64,
-    /// Seconds of pattern-cache overhead: fingerprinting the inputs and,
-    /// on a miss, capturing the output structure for next time. Zero when
-    /// the cache is disabled or bypassed.
+    /// Seconds of pattern-cache overhead: the one parallel sweep over the
+    /// inputs' structure that fingerprints them and checks their
+    /// sortedness, the lookup, and, on a miss, capturing the output
+    /// structure for next time. Zero when the plan has no cache or its
+    /// monoid filters; then sortedness is validated by a serial scan that
+    /// no phase counts.
     pub fingerprint: f64,
     /// `true` iff the symbolic phase was skipped outright because the
     /// collection's structure was found in the plan's pattern cache.
@@ -406,7 +409,9 @@ pub struct ExecuteStats {
     /// weight-balanced column chunks each [`NumericKernel`] materialized.
     /// A forced algorithm (or `Auto` with [`Options::adaptive`] off)
     /// reports a single-kernel histogram; the 2-way/library folds report
-    /// an empty one.
+    /// an empty one. On a pattern-cache hit no column kernel runs — the
+    /// cached scatter map places every value — and the histogram is the
+    /// cold run's decisions, replayed.
     pub kernel_counts: KernelCounts,
 }
 

@@ -10,8 +10,15 @@
 //! from Buluç–Gilbert (arXiv:1109.3739) makes the output structure a
 //! first-class artifact, so a plan can cache it: on a fingerprint hit the
 //! driver skips symbolic entirely, copies the cached `colptr`/`rowidx`
-//! into the (possibly recycled) output buffers, and runs a numeric-only
-//! kernel that scatters values into the known structure.
+//! into the (possibly recycled) output buffers, and scatters values into
+//! the known structure.
+//!
+//! The scatter goes through a scatter map cached on the pattern: for
+//! every input entry, its position inside its output column and whether
+//! it is the first to touch that slot. The first hit builds it (a
+//! pattern that never repeats pays nothing); from then on a hit is one
+//! fused fingerprint-and-sortedness sweep over the inputs' structure plus
+//! one pass over their values — no hashing, no probing, no sort.
 //!
 //! The cache is structural only — values never enter the fingerprint, and
 //! cached entries never carry values — so a hit is always sound for
@@ -21,7 +28,9 @@
 //! cache entirely; the plan layer enforces that.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use crate::kway::NumericKernel;
 use rayon::prelude::*;
@@ -91,42 +100,72 @@ impl Absorber {
         (mix(self.a), mix(self.b))
     }
 
-    /// Absorbs a `u32` slice two words at a time (the rowidx hot path).
-    fn push_u32s(&mut self, xs: &[u32]) {
+    /// Absorbs a `u32` slice two words at a time (the rowidx hot path)
+    /// and returns how many adjacent pairs `xs[p] >= xs[p + 1]` it saw —
+    /// the sortedness verdict rides the same sweep.
+    fn push_u32s(&mut self, xs: &[u32]) -> usize {
+        let mut descents = 0usize;
+        // One past the previous element; 0 before the first, so the first
+        // element never counts.
+        let mut next_min = 0u64;
         let mut it = xs.chunks_exact(2);
         for pair in &mut it {
-            self.push((pair[0] as u64) | ((pair[1] as u64) << 32));
+            let (x0, x1) = (pair[0] as u64, pair[1] as u64);
+            descents += usize::from(x0 < next_min) + usize::from(x1 <= x0);
+            next_min = x1 + 1;
+            self.push(x0 | (x1 << 32));
         }
         if let [last] = it.remainder() {
+            descents += usize::from(u64::from(*last) < next_min);
             // Distinct tag keeps `[x]` and `[x, 0]` apart.
             self.push((*last as u64) | (1 << 63));
         }
+        descents
     }
 }
 
-/// Digests one matrix's structure into a two-lane summary. Includes a
-/// separator word so an empty matrix still contributes state.
-fn digest_one<T: Element>(a: &CscMatrix<T>) -> (u64, u64) {
+/// One matrix's structure — its `colptr` and `rowidx` — which is all
+/// the fingerprint and the scatter map read. Keeping that code free of
+/// the value type compiles it once instead of once per element type.
+type Structure<'a> = (&'a [usize], &'a [u32]);
+
+fn structures<'a, T: Element>(mats: &[&'a CscMatrix<T>]) -> Vec<Structure<'a>> {
+    mats.iter().map(|a| (a.colptr(), a.rowidx())).collect()
+}
+
+/// Digests one matrix's structure into a two-lane summary and reports
+/// whether every column is strictly sorted by row ([`CscMatrix::is_sorted`])
+/// — computed in the same sweep, so a validating plan with a cache never
+/// scans `rowidx` a second time. Includes a separator word so an empty
+/// matrix still contributes state.
+fn digest_one((colptr, rows): Structure<'_>) -> ((u64, u64), bool) {
+    let nnz = rows.len();
     let mut ab = Absorber::new();
-    ab.push(0xa5a5_a5a5_5a5a_5a5a ^ a.nnz() as u64);
+    ab.push(0xa5a5_a5a5_5a5a_5a5a ^ nnz as u64);
+    // Columns are strictly sorted iff every descent in `rows` straddles
+    // a column boundary: the pair (end of a nonempty column `lo..b`,
+    // start of the next). Counted while the column loop passes by.
+    let straddles = |lo: usize, b: usize| usize::from(lo < b && b < nnz && rows[b - 1] >= rows[b]);
+    let mut straddling = 0usize;
     // Per-column counts determine `colptr` (given the CSC `colptr[0] = 0`
     // invariant and the column count absorbed by the caller), and fit a
     // u32 each — row indices are u32, so a column holds < 2³² entries —
     // which lets two columns share one absorbed word.
-    let colptr = a.colptr();
     let mut i = 1;
     while i + 1 < colptr.len() {
-        let d0 = (colptr[i] - colptr[i - 1]) as u64;
-        let d1 = (colptr[i + 1] - colptr[i]) as u64;
+        let (c0, c1, c2) = (colptr[i - 1], colptr[i], colptr[i + 1]);
+        let (d0, d1) = ((c1 - c0) as u64, (c2 - c1) as u64);
         debug_assert!(d0 >> 32 == 0 && d1 >> 32 == 0);
         ab.push(d0 | (d1 << 32));
+        straddling += straddles(c0, c1) + straddles(c1, c2);
         i += 2;
     }
     if i < colptr.len() {
         ab.push(((colptr[i] - colptr[i - 1]) as u64) | (1 << 63));
+        straddling += straddles(colptr[i - 1], colptr[i]);
     }
-    ab.push_u32s(a.rowidx());
-    ab.finish()
+    let descents = ab.push_u32s(rows);
+    (ab.finish(), descents == straddling)
 }
 
 /// Collections with more absorbed words than this fingerprint their
@@ -143,36 +182,45 @@ impl PatternFingerprint {
     /// kernels' first-touch combine order keys off, so the cache stays
     /// conservatively exact).
     pub fn of<T: Element>(mats: &[&CscMatrix<T>]) -> Self {
+        Self::scan(mats).0
+    }
+
+    /// [`PatternFingerprint::of`] plus each matrix's strict-sortedness
+    /// verdict, from the same sweep over `colptr`/`rowidx`.
+    pub(crate) fn scan<T: Element>(mats: &[&CscMatrix<T>]) -> (Self, Vec<bool>) {
+        let shape = mats.first().map_or((0, 0), |a| a.shape());
+        Self::scan_structures(shape, &structures(mats))
+    }
+
+    fn scan_structures((m, n): (usize, usize), mats: &[Structure<'_>]) -> (Self, Vec<bool>) {
         let mut ab = Absorber::new();
-        let (m, n) = if mats.is_empty() {
-            (0, 0)
-        } else {
-            mats[0].shape()
-        };
         ab.push(m as u64);
         ab.push(n as u64);
         let mut total_nnz = 0u64;
         let mut words = 0usize;
-        for a in mats {
-            total_nnz += a.nnz() as u64;
-            words += a.nnz() / 2 + a.colptr().len();
+        for (colptr, rowidx) in mats {
+            total_nnz += rowidx.len() as u64;
+            words += rowidx.len() / 2 + colptr.len();
         }
-        let digests: Vec<(u64, u64)> = if words >= PARALLEL_DIGEST_WORDS && mats.len() > 1 {
+        let digests: Vec<((u64, u64), bool)> = if words >= PARALLEL_DIGEST_WORDS && mats.len() > 1 {
             mats.to_vec().into_par_iter().map(digest_one).collect()
         } else {
-            mats.iter().map(|a| digest_one(a)).collect()
+            mats.iter().map(|&a| digest_one(a)).collect()
         };
-        for (da, db) in digests {
+        let mut sorted = Vec::with_capacity(mats.len());
+        for ((da, db), is_sorted) in digests {
             ab.push(da);
             ab.push(db);
+            sorted.push(is_sorted);
         }
         let (lane_a, lane_b) = ab.finish();
-        Self {
+        let fp = Self {
             lane_a,
             lane_b,
             total_nnz,
             k: mats.len() as u32,
-        }
+        };
+        (fp, sorted)
     }
 }
 
@@ -186,9 +234,151 @@ pub(crate) struct Pattern {
     /// Per-chunk kernel decisions memoized from the cold (miss) run.
     /// Identical structure ⇒ identical symbolic counts ⇒ identical
     /// chunking ⇒ identical scores, so an adaptive warm hit replays
-    /// these instead of rescoring. Empty for non-adaptive insertions —
-    /// the dispatch ignores it then.
+    /// these (and reports them in `ExecuteStats::kernel_counts`) instead
+    /// of rescoring. Empty for non-adaptive insertions — the dispatch
+    /// ignores it then.
     pub(crate) kernels: Arc<Vec<NumericKernel>>,
+    /// Built by the first hit, evicted with the entry.
+    scatter: OnceLock<ScatterMap>,
+}
+
+impl Pattern {
+    /// The structure's scatter map, built on first use (inside a
+    /// `spkadd.pattern.scatter_build` span) from inputs whose structure
+    /// produced this pattern. `ranges` only split the build across
+    /// workers; the map itself does not depend on them.
+    pub(crate) fn scatter_map<T: Element>(
+        &self,
+        mats: &[&CscMatrix<T>],
+        ranges: &[Range<usize>],
+    ) -> &ScatterMap {
+        self.scatter.get_or_init(|| {
+            let _span = spk_obs::span!("spkadd.pattern.scatter_build");
+            ScatterMap::build(&structures(mats), &self.colptr, &self.rowidx, ranges)
+        })
+    }
+}
+
+/// Where every input entry lands in a cached output structure, so a hit's
+/// numeric phase is a pure scatter: `out[slot] = v` on a first touch,
+/// `combine(&mut out[slot], v)` otherwise.
+///
+/// Operand-major and aligned with each operand's `rowidx`: entry `e` of
+/// operand `i` has global index `base(i) + e`. Costs 4 B per input
+/// nonzero plus one first-touch bit. The first touch of a slot is the
+/// first entry in operand order, then entry order — exactly the order
+/// in which every k-way kernel folds duplicates — so scattering in that
+/// order reproduces the cold result bit for bit. The explicit mark
+/// (rather than zero-init and combine) keeps a lone `-0.0` intact under
+/// `Plus`.
+#[derive(Debug)]
+pub(crate) struct ScatterMap {
+    /// Start of each operand's block (k + 1 entries).
+    offsets: Vec<usize>,
+    /// Each entry's position inside its output column. Output rows are
+    /// distinct `u32`s, so a position always fits.
+    pos: Vec<u32>,
+    /// Bit `g` is set iff entry `g` is the first to touch its slot.
+    first: Vec<u64>,
+}
+
+impl ScatterMap {
+    /// Maps every entry of `mats` into the output structure
+    /// `colptr`/`rowidx` (their set union), one column range per task.
+    pub(crate) fn build(
+        mats: &[Structure<'_>],
+        colptr: &[usize],
+        rowidx: &[u32],
+        ranges: &[Range<usize>],
+    ) -> Self {
+        let mut offsets = vec![0usize];
+        let mut total = 0usize;
+        for (_, rows) in mats {
+            total += rows.len();
+            offsets.push(total);
+        }
+        let mut pos = vec![0u32; total];
+        // A bit word can hold entries of two tasks, hence atomics.
+        // `Relaxed` suffices: the fork-join's join orders every `fetch_or`
+        // before `into_inner` reads the words.
+        let first: Vec<AtomicU64> = (0..total.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
+        // Carve `pos` into one window per (range, operand); the ranges
+        // tile the columns in order, so the windows are disjoint.
+        let mut windows: Vec<Vec<&mut [u32]>> = ranges
+            .iter()
+            .map(|_| Vec::with_capacity(mats.len()))
+            .collect();
+        let mut rest = pos.as_mut_slice();
+        for (cp, rows) in mats {
+            let (mut operand, tail) = std::mem::take(&mut rest).split_at_mut(rows.len());
+            rest = tail;
+            for (r, w) in ranges.iter().zip(&mut windows) {
+                let (head, tail) =
+                    std::mem::take(&mut operand).split_at_mut(cp[r.end] - cp[r.start]);
+                w.push(head);
+                operand = tail;
+            }
+        }
+        ranges
+            .to_vec()
+            .into_par_iter()
+            .zip(windows.into_par_iter())
+            .for_each(|(cols, mut windows)| {
+                // (row << 32 | position) of the current output column,
+                // sorted by row for binary search; already sorted unless
+                // the plan emits unsorted columns.
+                let mut keys: Vec<u64> = Vec::new();
+                let mut seen: Vec<bool> = Vec::new();
+                for j in cols.clone() {
+                    let out = &rowidx[colptr[j]..colptr[j + 1]];
+                    keys.clear();
+                    keys.extend(
+                        out.iter()
+                            .enumerate()
+                            .map(|(p, &r)| (u64::from(r) << 32) | p as u64),
+                    );
+                    keys.sort_unstable();
+                    seen.clear();
+                    seen.resize(out.len(), false);
+                    for (i, ((cp, rows), window)) in mats.iter().zip(windows.iter_mut()).enumerate()
+                    {
+                        for e in cp[j]..cp[j + 1] {
+                            let r = u64::from(rows[e]);
+                            let at = keys.partition_point(|&key| key >> 32 < r);
+                            debug_assert_eq!(keys[at] >> 32, r, "row absent from cached structure");
+                            let p = keys[at] as u32;
+                            window[e - cp[cols.start]] = p;
+                            if !seen[p as usize] {
+                                seen[p as usize] = true;
+                                let g = offsets[i] + e;
+                                first[g / 64].fetch_or(1 << (g % 64), Ordering::Relaxed);
+                            }
+                        }
+                    }
+                }
+            });
+        Self {
+            offsets,
+            pos,
+            first: first.into_iter().map(AtomicU64::into_inner).collect(),
+        }
+    }
+
+    /// Global index of operand `i`'s first entry.
+    #[inline]
+    pub(crate) fn base(&self, i: usize) -> usize {
+        self.offsets[i]
+    }
+
+    /// Entry `g`'s position inside its output column and whether it is
+    /// that slot's first touch.
+    #[inline(always)]
+    pub(crate) fn slot(&self, g: usize) -> (usize, bool) {
+        (
+            self.pos[g] as usize,
+            (self.first[g / 64] >> (g % 64)) & 1 == 1,
+        )
+    }
 }
 
 #[derive(Debug)]
@@ -326,6 +516,7 @@ impl PatternCache {
                     colptr: colptr.to_vec(),
                     rowidx: rowidx.to_vec(),
                     kernels: Arc::new(kernels.to_vec()),
+                    scatter: OnceLock::new(),
                 }),
                 last_used: self.tick,
             },
@@ -426,6 +617,126 @@ mod tests {
             PatternFingerprint::of(&[&a]),
             PatternFingerprint::of(&[&mutated])
         );
+    }
+
+    /// A small deterministic generator (tests only need variety).
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (self.0 >> 33) % n
+        }
+    }
+
+    /// Random columns of up to `max_len` rows below `m`, sorted or not,
+    /// with duplicates unless `strict`, and some empty columns.
+    fn random_matrix(
+        rng: &mut Lcg,
+        m: u32,
+        n: usize,
+        max_len: u64,
+        sorted: bool,
+    ) -> CscMatrix<f64> {
+        let mut colptr = vec![0usize];
+        let mut rows = Vec::new();
+        for _ in 0..n {
+            let len = if rng.below(4) == 0 {
+                0
+            } else {
+                rng.below(max_len + 1)
+            };
+            let mut col: Vec<u32> = (0..len).map(|_| rng.below(u64::from(m)) as u32).collect();
+            if sorted {
+                col.sort_unstable();
+                col.dedup();
+            }
+            rows.extend(col);
+            colptr.push(rows.len());
+        }
+        let vals = vec![1.0; rows.len()];
+        CscMatrix::try_new(m as usize, n, colptr, rows, vals).unwrap()
+    }
+
+    #[test]
+    fn scan_verdicts_match_is_sorted() {
+        let mut rng = Lcg(7);
+        let mut seen = [false; 2];
+        for case in 0..200 {
+            let m = 1 + rng.below(40) as u32;
+            let n = 1 + rng.below(9) as usize;
+            let mats: Vec<CscMatrix<f64>> = (0..1 + rng.below(4))
+                .map(|_| random_matrix(&mut rng, m, n, 6, case % 3 != 0))
+                .collect();
+            let refs: Vec<&CscMatrix<f64>> = mats.iter().collect();
+            let (fp, verdicts) = PatternFingerprint::scan(&refs);
+            assert_eq!(fp, PatternFingerprint::of(&refs));
+            for (a, &v) in refs.iter().zip(&verdicts) {
+                assert_eq!(v, a.is_sorted(), "case {case}: {a:?}");
+                seen[usize::from(v)] = true;
+            }
+        }
+        assert_eq!(seen, [true, true], "both verdicts exercised");
+        // Descents only across column boundaries (including past an
+        // empty column) leave the matrix sorted; one inside a column
+        // does not.
+        let across =
+            CscMatrix::try_new(9, 4, vec![0, 2, 2, 4, 5], vec![5, 8, 1, 3, 0], vec![1.0; 5]);
+        let inside = CscMatrix::try_new(9, 2, vec![0, 2, 3], vec![8, 5, 0], vec![1.0; 3]);
+        for (m, sorted) in [(across.unwrap(), true), (inside.unwrap(), false)] {
+            assert_eq!(m.is_sorted(), sorted);
+            assert_eq!(PatternFingerprint::scan(&[&m]).1, vec![sorted]);
+        }
+    }
+
+    #[test]
+    fn scatter_map_matches_brute_force() {
+        let mut rng = Lcg(11);
+        for case in 0..100 {
+            let (m, n) = (1 + rng.below(30) as u32, 1 + rng.below(12) as usize);
+            let mats: Vec<CscMatrix<f64>> = (0..1 + rng.below(5))
+                .map(|_| random_matrix(&mut rng, m, n, 8, case % 2 == 0))
+                .collect();
+            let refs: Vec<&CscMatrix<f64>> = mats.iter().collect();
+            // The output structure: each column's row union, in a
+            // shuffled order for odd cases (unsorted emission).
+            let mut colptr = vec![0usize];
+            let mut rowidx = Vec::new();
+            for j in 0..n {
+                let mut union: Vec<u32> =
+                    refs.iter().flat_map(|a| a.col(j).rows.to_vec()).collect();
+                union.sort_unstable();
+                union.dedup();
+                if case % 2 == 1 {
+                    for i in (1..union.len()).rev() {
+                        union.swap(i, rng.below(i as u64 + 1) as usize);
+                    }
+                }
+                rowidx.extend(union);
+                colptr.push(rowidx.len());
+            }
+            let cuts = 1 + rng.below(n as u64) as usize;
+            let ranges: Vec<Range<usize>> = (0..cuts)
+                .map(|c| c * n / cuts..(c + 1) * n / cuts)
+                .collect();
+            let map = ScatterMap::build(&structures(&refs), &colptr, &rowidx, &ranges);
+            for j in 0..n {
+                let out = &rowidx[colptr[j]..colptr[j + 1]];
+                let mut touched = std::collections::HashSet::new();
+                for (i, a) in refs.iter().enumerate() {
+                    for e in a.colptr()[j]..a.colptr()[j + 1] {
+                        let r = a.rowidx()[e];
+                        let (p, first) = map.slot(map.base(i) + e);
+                        assert_eq!(out[p], r, "case {case}: operand {i} entry {e}");
+                        assert_eq!(first, touched.insert(r), "case {case}: first-touch mark");
+                    }
+                }
+                assert_eq!(touched.len(), out.len(), "every slot is touched");
+            }
+        }
     }
 
     #[test]

@@ -133,8 +133,8 @@ impl SpkAdd {
     /// Retains up to `capacity` output structures keyed by input-pattern
     /// fingerprint (bounded LRU; `0` disables, the default). When an
     /// executed collection's sparsity matches a cached pattern, the
-    /// symbolic phase is skipped entirely and a numeric-only kernel
-    /// scatters values into the known structure — the steady-state win
+    /// symbolic phase is skipped entirely and the values are scattered
+    /// straight into the known structure — the steady-state win
     /// for fixed-sparsity workloads (FEM assembly on a fixed mesh,
     /// gradient aggregation over a fixed model). Filtering monoids
     /// bypass the cache automatically; see [`crate::pattern`].
@@ -319,7 +319,14 @@ impl<T: Element, O: Monoid<Value = T>> SpkAddPlan<T, O> {
     }
 
     /// Resolves [`Algorithm::Auto`] against this collection (Fig 2).
-    fn resolve(&self, mats: &[&CscMatrix<T>], inputs_sorted: bool) -> Algorithm {
+    /// `verdicts` are the per-operand sortedness results of the fused
+    /// fingerprint sweep, when it ran.
+    fn resolve(
+        &self,
+        mats: &[&CscMatrix<T>],
+        inputs_sorted: bool,
+        verdicts: Option<&[bool]>,
+    ) -> Algorithm {
         if self.algorithm != Algorithm::Auto {
             return self.algorithm;
         }
@@ -339,10 +346,10 @@ impl<T: Element, O: Monoid<Value = T>> SpkAddPlan<T, O> {
             // inputs — a pairwise merge would silently mis-sum. Only
             // reached when the resolver picks one (k <= 2), so the scan
             // stays off the common path.
-            let sorted = if self.opts.validate_sorted {
-                inputs_sorted
-            } else {
-                mats.iter().all(|m| m.is_sorted())
+            let sorted = match (self.opts.validate_sorted, verdicts) {
+                (true, _) => inputs_sorted,
+                (false, Some(v)) => v.iter().all(|&s| s),
+                (false, None) => mats.iter().all(|m| m.is_sorted()),
             };
             if !sorted {
                 alg = Algorithm::Hash;
@@ -352,14 +359,19 @@ impl<T: Element, O: Monoid<Value = T>> SpkAddPlan<T, O> {
     }
 
     /// Sortedness: detect (or trust) once per execution, failing fast for
-    /// algorithms that require sorted inputs.
-    fn detect_sorted(&self, mats: &[&CscMatrix<T>]) -> Result<bool, SpkaddError> {
+    /// algorithms that require sorted inputs. Reads the fused sweep's
+    /// `verdicts` when there are any; otherwise scans each operand.
+    fn detect_sorted(
+        &self,
+        mats: &[&CscMatrix<T>],
+        verdicts: Option<&[bool]>,
+    ) -> Result<bool, SpkaddError> {
         if !self.opts.validate_sorted {
             return Ok(true);
         }
         let mut all_sorted = true;
         for (i, m) in mats.iter().enumerate() {
-            if !m.is_sorted() {
+            if !verdicts.map_or_else(|| m.is_sorted(), |v| v[i]) {
                 if self.algorithm.needs_sorted_inputs() {
                     return Err(SpkaddError::UnsortedInput {
                         algorithm: self.algorithm.name(),
@@ -392,8 +404,26 @@ impl<T: Element, O: Monoid<Value = T>> SpkAddPlan<T, O> {
                 operand: 0,
             }));
         }
-        let inputs_sorted = self.detect_sorted(mats)?;
-        let alg = self.resolve(mats, inputs_sorted);
+        // With a usable cache, one parallel sweep over every operand's
+        // structure yields both the fingerprint and the sortedness
+        // verdicts, so validation never rescans `rowidx`. Only
+        // non-filtering monoids are sound: a filtering monoid's output
+        // structure depends on the values being folded, so a cached
+        // structure from one execution may be wrong for the next even at
+        // identical input sparsity.
+        let mut fingerprint_secs = 0.0;
+        let mut scan: Option<(PatternFingerprint, Vec<bool>)> = None;
+        if self.cache.is_some() && !O::MAY_FILTER {
+            // `timed` records the span from the same measurement that
+            // lands in `ExecuteStats::fingerprint`.
+            let (fused, dur) =
+                spk_obs::timed("spkadd.fingerprint", || PatternFingerprint::scan(mats));
+            fingerprint_secs = dur.as_secs_f64();
+            scan = Some(fused);
+        }
+        let verdicts = scan.as_ref().map(|(_, v)| v.as_slice());
+        let inputs_sorted = self.detect_sorted(mats, verdicts)?;
+        let alg = self.resolve(mats, inputs_sorted, verdicts);
         debug_assert_ne!(
             alg,
             Algorithm::Auto,
@@ -409,34 +439,24 @@ impl<T: Element, O: Monoid<Value = T>> SpkAddPlan<T, O> {
             _ => None,
         };
 
-        // Pattern-cache routing. Only the k-way family benefits, and only
-        // non-filtering monoids are sound: a filtering monoid's output
-        // structure depends on the values being folded, so a cached
-        // structure from one execution may be wrong for the next even at
-        // identical input sparsity.
-        let mut fingerprint_secs = 0.0;
+        // Pattern-cache routing: only the k-way family benefits.
         let mut outcome = PatternOutcome::Disabled;
         let mut hit: Option<Arc<Pattern>> = None;
         let mut insert_on_miss: Option<PatternFingerprint> = None;
         if let Some(cache) = self.cache.as_mut() {
             outcome = PatternOutcome::Bypassed;
-            if kernel.is_some() && !O::MAY_FILTER {
-                // `timed` records the span from the same measurement
-                // that lands in `ExecuteStats::fingerprint`.
-                let ((), dur) = spk_obs::timed("spkadd.fingerprint", || {
-                    let fp = PatternFingerprint::of(mats);
-                    match cache.lookup(&fp) {
-                        Some(pattern) => {
-                            outcome = PatternOutcome::Hit;
-                            hit = Some(pattern);
-                        }
-                        None => {
-                            outcome = PatternOutcome::Miss;
-                            insert_on_miss = Some(fp);
-                        }
+            if let (Some(_), Some((fp, _))) = (kernel, scan) {
+                let ((), dur) = spk_obs::timed("spkadd.fingerprint", || match cache.lookup(&fp) {
+                    Some(pattern) => {
+                        outcome = PatternOutcome::Hit;
+                        hit = Some(pattern);
+                    }
+                    None => {
+                        outcome = PatternOutcome::Miss;
+                        insert_on_miss = Some(fp);
                     }
                 });
-                fingerprint_secs = dur.as_secs_f64();
+                fingerprint_secs += dur.as_secs_f64();
             }
         }
 
@@ -494,7 +514,6 @@ impl<T: Element, O: Monoid<Value = T>> SpkAddPlan<T, O> {
                             .expect("hits only occur on the k-way path"),
                         monoid,
                         &ctx,
-                        pool,
                         recycle,
                     )
                 });

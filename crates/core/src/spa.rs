@@ -152,29 +152,6 @@ impl<T: Element> Spa<T> {
         written
     }
 
-    /// Numeric-only emission for a pattern-cache hit: the output row
-    /// order is already known, so each cached row's accumulated value is
-    /// gathered directly — no sort of the touched-index list. Advances
-    /// the epoch for the next column. Every row in `rows` must have been
-    /// scattered this epoch (guaranteed when the cached structure matches
-    /// the inputs and the monoid does not filter).
-    pub fn gather_reset<M: MemModel>(&mut self, rows: &[u32], out_vals: &mut [T], mem: &mut M) {
-        debug_assert_eq!(rows.len(), self.idx.len(), "cached structure stale");
-        for (r, out) in rows.iter().zip(out_vals.iter_mut()) {
-            let ri = *r as usize;
-            debug_assert_eq!(self.stamps[ri], self.epoch, "cached row untouched");
-            mem.read(
-                self.vals.as_ptr() as usize + ri * std::mem::size_of::<T>(),
-                std::mem::size_of::<T>(),
-            );
-            *out = self.vals[ri];
-            mem.write(out as *const T as usize, std::mem::size_of::<T>());
-        }
-        mem.op(rows.len() as u64);
-        self.idx.clear();
-        self.advance_epoch();
-    }
-
     /// Counts-only variant for the symbolic phase: number of distinct rows,
     /// then reset.
     pub fn drain_count(&mut self) -> usize {

@@ -113,6 +113,64 @@ fn pattern_hit_skips_the_symbolic_span() {
 }
 
 #[test]
+fn first_hit_builds_the_scatter_map_once_inside_numeric() {
+    let _g = lock();
+    let mats = collection();
+    let refs: Vec<&CscMatrix<f64>> = mats.iter().collect();
+    let mut plan = SpkAdd::new(ROWS, COLS)
+        .algorithm(Algorithm::Hash)
+        .threads(1)
+        .pattern_cache(2)
+        .build::<f64>()
+        .unwrap();
+    let traced_hit = |plan: &mut spkadd::SpkAddPlan<f64>| {
+        spk_obs::set_tracing(true);
+        spk_obs::take_spans();
+        let stats = run_timed(plan, &refs).1;
+        spk_obs::set_tracing(false);
+        assert_eq!(stats.pattern, PatternOutcome::Hit);
+        spk_obs::take_spans()
+            .into_iter()
+            .filter(|s| s.name.starts_with("spkadd."))
+            .collect::<Vec<_>>()
+    };
+    let build = "spkadd.pattern.scatter_build";
+    // The miss inserts the structure but builds no map.
+    spk_obs::set_tracing(true);
+    spk_obs::take_spans();
+    run_timed(&mut plan, &refs);
+    spk_obs::set_tracing(false);
+    assert!(
+        !names(&spk_obs::take_spans()).contains(&build),
+        "a miss builds no map"
+    );
+
+    let spans = traced_hit(&mut plan);
+    let builds: Vec<_> = spans.iter().filter(|s| s.name == build).collect();
+    assert_eq!(
+        builds.len(),
+        1,
+        "the first hit builds the map: {:?}",
+        names(&spans)
+    );
+    let numeric = spans.iter().find(|s| s.name == "spkadd.numeric").unwrap();
+    // Inside the numeric phase's interval, on its thread. (`timed`
+    // phases record at the depth they ran at without deepening the
+    // stack, so the build shares numeric's depth.)
+    let b = builds[0];
+    assert_eq!((b.thread, b.depth), (numeric.thread, numeric.depth));
+    assert!(b.start_ns >= numeric.start_ns);
+    assert!(b.start_ns + b.dur_ns <= numeric.start_ns + numeric.dur_ns);
+
+    let spans = traced_hit(&mut plan);
+    assert!(
+        !names(&spans).contains(&build),
+        "the second hit reuses the map: {:?}",
+        names(&spans)
+    );
+}
+
+#[test]
 fn pattern_counters_move_on_the_global_registry() {
     let _g = lock();
     let mats = collection();

@@ -2,12 +2,14 @@
 //! bit-for-bit identical to a cold one for every algorithm, the LRU bound
 //! must hold, structural mutations must miss — including ones made inside
 //! the same buffers — and filtering monoids must bypass the cache
-//! entirely.
+//! entirely. With a cache, sortedness is validated by the fingerprint
+//! sweep; its errors and Auto's fallback must match the serial scan's.
 
 use spk_gen::{generate_collection, Pattern};
-use spk_sparse::CscMatrix;
+use spk_sparse::{CscMatrix, DenseMatrix};
 use spkadd::{
-    Algorithm, ExecuteStats, Monoid, PatternOutcome, SpkAdd, SpkaddError, ThresholdedPlus,
+    Algorithm, ExecuteStats, Min, Monoid, NumericKernel, Or, PatternOutcome, SpkAdd, SpkaddError,
+    SymbolicStrategy, ThresholdedPlus,
 };
 
 mod common;
@@ -414,4 +416,265 @@ fn errors_do_not_poison_the_cache() {
     ));
     let (_, stats) = run_timed(&mut plan, &refs);
     assert_eq!(stats.pattern, PatternOutcome::Hit, "cache survives errors");
+}
+
+const KWAY_AND_AUTO: [Algorithm; 6] = [
+    Algorithm::Heap,
+    Algorithm::Spa,
+    Algorithm::Hash,
+    Algorithm::SlidingHash,
+    Algorithm::SlidingSpa,
+    Algorithm::Auto,
+];
+
+/// `==` treats `-0.0` and `+0.0` as equal; the hit must match the cold
+/// result's bits.
+fn assert_bitwise_eq(got: &CscMatrix<f64>, want: &CscMatrix<f64>, what: &str) {
+    assert_eq!(got, want, "{what}");
+    let bits = |m: &CscMatrix<f64>| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(got), bits(want), "{what}: value bits");
+}
+
+/// k = 4 operands of 16 × 6 on which a sloppy hit path would differ:
+/// - rows overlap across operands, and slot (1, 0) folds `1e16 + 1.0 -
+///   1e16`, which is 0 only in operand order;
+/// - columns 1 and 4 are empty everywhere and operand 1 is empty;
+/// - slot (7, 2) holds a lone `-0.0`, and slot (2, 3) folds three
+///   (`-0.0` first), so a zero-initialized accumulator would give `+0.0`;
+/// - with `unsorted_dups`, operand 2's column 0 is unsorted and repeats
+///   row 6.
+fn tricky_collection(unsorted_dups: bool) -> Vec<CscMatrix<f64>> {
+    let mat = |colptr: Vec<usize>, rows: Vec<u32>, vals: Vec<f64>| {
+        CscMatrix::try_new(16, 6, colptr, rows, vals).unwrap()
+    };
+    let (col0_rows, col0_vals) = if unsorted_dups {
+        (vec![6, 1, 3, 6], vec![2.5, 1.0, 1.0, -4.0])
+    } else {
+        (vec![1, 3, 6], vec![1.0, 1.0, 2.5])
+    };
+    let c0 = col0_rows.len();
+    let mut op2_rows = col0_rows;
+    op2_rows.extend([1, 2, 9, 10]);
+    let mut op2_vals = col0_vals;
+    op2_vals.extend([0.5, -0.0, 7.0, 8.0]);
+    vec![
+        mat(
+            vec![0, 3, 3, 5, 6, 6, 8],
+            vec![1, 3, 5, 0, 7, 2, 4, 9],
+            vec![1e16, 2.0, 3.0, 4.0, -0.0, -0.0, 5.0, 6.0],
+        ),
+        CscMatrix::zeros(16, 6),
+        mat(
+            vec![0, c0, c0, c0 + 1, c0 + 2, c0 + 2, c0 + 4],
+            op2_rows,
+            op2_vals,
+        ),
+        mat(
+            vec![0, 1, 1, 1, 2, 2, 4],
+            vec![1, 2, 0, 4],
+            vec![-1e16, -0.0, 9.0, 10.0],
+        ),
+    ]
+}
+
+#[test]
+fn hit_scatter_is_bitwise_equal_to_cold_on_edge_cases() {
+    for unsorted_dups in [false, true] {
+        let mats = tricky_collection(unsorted_dups);
+        let refs: Vec<&CscMatrix<f64>> = mats.iter().collect();
+        for alg in KWAY_AND_AUTO {
+            if unsorted_dups && !matches!(alg, Algorithm::Hash | Algorithm::Spa | Algorithm::Auto) {
+                continue;
+            }
+            // Tiny tables make the sliding kernels cut several panels.
+            for (sorted_output, table_entries) in [(true, None), (false, None), (true, Some(2))] {
+                let what = format!(
+                    "{alg} dups={unsorted_dups} sorted={sorted_output} table={table_entries:?}"
+                );
+                let builder = || {
+                    let b = SpkAdd::new(16, 6)
+                        .algorithm(alg)
+                        .sorted_output(sorted_output);
+                    match table_entries {
+                        Some(t) => b.table_entries(t),
+                        None => b,
+                    }
+                };
+                let cold = builder().build::<f64>().unwrap().execute(&refs).unwrap();
+                // The stored entry itself (`get` sums from `+0.0` on
+                // unsorted columns).
+                let stored =
+                    |i: u32, j: usize| cold.col(j).iter().find(|&(r, _)| r == i).unwrap().1;
+                if !unsorted_dups {
+                    assert_eq!(stored(1, 0), 0.0, "{what}: operand-order fold");
+                }
+                assert!(stored(7, 2).is_sign_negative(), "{what}: lone -0.0");
+                assert!(stored(2, 3).is_sign_negative(), "{what}: -0.0 fold");
+
+                let mut cached = builder().pattern_cache(2).build::<f64>().unwrap();
+                let (first, s1) = run_timed(&mut cached, &refs);
+                assert_eq!(s1.pattern, PatternOutcome::Miss, "{what}");
+                assert_bitwise_eq(&first, &cold, &what);
+                for _ in 0..2 {
+                    let (warm, s) = run_timed(&mut cached, &refs);
+                    assert_eq!(s.pattern, PatternOutcome::Hit, "{what}");
+                    assert_eq!(
+                        s.kernel_counts, s1.kernel_counts,
+                        "{what}: replayed histogram"
+                    );
+                    assert_bitwise_eq(&warm, &cold, &what);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn min_and_or_plans_hit_like_cold() {
+    let mats = collection(Pattern::Rmat, 8);
+    let refs: Vec<&CscMatrix<f64>> = mats.iter().collect();
+    let mut cold = SpkAdd::new(M, N)
+        .build_with_monoid(Min::<f64>::new())
+        .unwrap();
+    let mut cached = SpkAdd::new(M, N)
+        .pattern_cache(2)
+        .build_with_monoid(Min::<f64>::new())
+        .unwrap();
+    let expect = cold.execute(&refs).unwrap();
+    for outcome in [
+        PatternOutcome::Miss,
+        PatternOutcome::Hit,
+        PatternOutcome::Hit,
+    ] {
+        let (out, s) = run_timed(&mut cached, &refs);
+        assert_eq!(s.pattern, outcome, "min");
+        assert_eq!(out, expect, "min");
+    }
+
+    let bools: Vec<CscMatrix<bool>> = mats
+        .iter()
+        .enumerate()
+        .map(|(i, m)| {
+            let (m, n, colptr, rows, vals) = m.clone().into_parts();
+            let vals = (0..vals.len()).map(|e| (e + i) % 3 == 0).collect();
+            CscMatrix::try_new(m, n, colptr, rows, vals).unwrap()
+        })
+        .collect();
+    let refs: Vec<&CscMatrix<bool>> = bools.iter().collect();
+    let mut cold = SpkAdd::new(M, N).build_with_monoid(Or).unwrap();
+    let mut cached = SpkAdd::new(M, N)
+        .pattern_cache(2)
+        .build_with_monoid(Or)
+        .unwrap();
+    let expect = cold.execute(&refs).unwrap();
+    for outcome in [
+        PatternOutcome::Miss,
+        PatternOutcome::Hit,
+        PatternOutcome::Hit,
+    ] {
+        let (out, s) = run_timed(&mut cached, &refs);
+        assert_eq!(s.pattern, outcome, "or");
+        assert_eq!(out, expect, "or");
+    }
+}
+
+/// `mats` with the first multi-entry column of the last operand reversed.
+fn unsorted_last(mut mats: Vec<CscMatrix<f64>>) -> Vec<CscMatrix<f64>> {
+    let (m, n, colptr, mut rows, vals) = mats.pop().unwrap().into_parts();
+    let j = (0..n).find(|&j| colptr[j + 1] - colptr[j] > 1).unwrap();
+    rows[colptr[j]..colptr[j + 1]].reverse();
+    mats.push(CscMatrix::try_new(m, n, colptr, rows, vals).unwrap());
+    assert!(!mats.last().unwrap().is_sorted());
+    mats
+}
+
+#[test]
+fn fused_validation_reports_an_unsorted_last_operand() {
+    let mats = unsorted_last(collection(Pattern::Er, 77));
+    let refs: Vec<&CscMatrix<f64>> = mats.iter().collect();
+    for (alg, symbolic) in [
+        (Algorithm::Heap, SymbolicStrategy::Hash),
+        (Algorithm::TwoWayTree, SymbolicStrategy::Hash),
+        (Algorithm::Hash, SymbolicStrategy::Heap),
+    ] {
+        let mut plan = SpkAdd::new(M, N)
+            .algorithm(alg)
+            .symbolic(symbolic)
+            .pattern_cache(2)
+            .build::<f64>()
+            .unwrap();
+        let err = plan.execute(&refs).unwrap_err();
+        assert!(
+            matches!(err, SpkaddError::UnsortedInput { operand, .. } if operand == K - 1),
+            "{alg}/{symbolic:?}: {err:?}"
+        );
+        let stats = plan.pattern_stats().unwrap();
+        assert_eq!(
+            (stats.hits, stats.misses),
+            (0, 0),
+            "a rejected input is never looked up"
+        );
+    }
+}
+
+#[test]
+fn fused_validation_still_trusts_the_caller() {
+    // Operand 1's column is descending but shares no row with operand 0,
+    // so the pairwise merge stays well-defined; only validation would
+    // object.
+    let a = CscMatrix::try_new(10, 1, vec![0, 2], vec![1, 2], vec![1.0, 2.0]).unwrap();
+    let b = CscMatrix::try_new(10, 1, vec![0, 2], vec![9, 5], vec![3.0, 4.0]).unwrap();
+    let refs = [&a, &b];
+    let build = |validate| {
+        SpkAdd::new(10, 1)
+            .algorithm(Algorithm::TwoWayTree)
+            .validate_sorted(validate)
+            .pattern_cache(2)
+            .build::<f64>()
+            .unwrap()
+    };
+    assert!(matches!(
+        build(true).execute(&refs),
+        Err(SpkaddError::UnsortedInput { operand: 1, .. })
+    ));
+    let (out, s) = run_timed(&mut build(false), &refs);
+    assert_eq!(s.pattern, PatternOutcome::Bypassed);
+    assert_eq!(
+        out.rowidx(),
+        [1, 2, 9, 5],
+        "the caller's order, merged as promised"
+    );
+}
+
+#[test]
+fn auto_falls_back_to_hash_on_unsorted_pairs_with_the_cache_on() {
+    let a = CscMatrix::try_new(4, 1, vec![0, 3], vec![3, 0, 2], vec![1.0, 2.0, 3.0]).unwrap();
+    let b = CscMatrix::try_new(4, 1, vec![0, 2], vec![2, 0], vec![10.0, 20.0]).unwrap();
+    let refs = [&a, &b];
+    let mut expect = DenseMatrix::zeros(4, 1);
+    expect.add_assign(&DenseMatrix::from_csc(&a)).unwrap();
+    expect.add_assign(&DenseMatrix::from_csc(&b)).unwrap();
+    for validate in [true, false] {
+        let mut plan = SpkAdd::new(4, 1)
+            .validate_sorted(validate)
+            .pattern_cache(2)
+            .build::<f64>()
+            .unwrap();
+        // A pairwise merge would bypass the cache; the k-way fallback
+        // misses, then hits.
+        for outcome in [PatternOutcome::Miss, PatternOutcome::Hit] {
+            let (out, s) = run_timed(&mut plan, &refs);
+            assert_eq!(s.pattern, outcome, "validate={validate}");
+            assert_eq!(
+                s.kernel_counts.get(NumericKernel::Heap),
+                0,
+                "validate={validate}"
+            );
+            assert_eq!(
+                DenseMatrix::from_csc(&out).max_abs_diff(&expect),
+                0.0,
+                "validate={validate}"
+            );
+        }
+    }
 }
