@@ -13,13 +13,19 @@
 //! structure is known, and the cached pattern's scatter map says where
 //! each input entry goes, so the hit's numeric phase is a single
 //! scatter of the input values in the same fold order the kernels use
-//! (see `kway_numeric_cached` and [`crate::pattern`]).
+//! (see `kway_numeric_cached` and [`crate::pattern`]). When a plan's
+//! last two executions hit the same pattern, the scatter runs in one
+//! region with the next collection's fingerprint sweep, before the
+//! lookup confirms the guess (`kway_scatter_speculative`).
 
 use crate::kernels::{hash_add_column, heap_add_column, spa_add_column};
 use crate::mem::NullModel;
 use crate::monoid::Monoid;
-use crate::parallel::{exclusive_prefix_sum, exclusive_prefix_sum_into, plan_ranges, split_output};
-use crate::pattern::Pattern;
+use crate::parallel::{
+    claimed_map, exclusive_prefix_sum, exclusive_prefix_sum_into, plan_ranges, split_output,
+    OutChunk, Scheduling,
+};
+use crate::pattern::{digest_one, structures, Digest, Pattern, ScatterMap, Structure};
 use crate::sliding::sliding_add_column;
 use crate::spa::sliding_spa_add_column;
 use crate::symbolic::DriverCtx;
@@ -240,7 +246,7 @@ pub(crate) fn chunk_profile<T: Element>(
 /// serial O(ranges · k) sweep over column-pointer windows — negligible
 /// next to the numeric phase, and deterministic, so reruns (and memoized
 /// replays) always agree.
-fn decide_kernels<T: Element>(
+pub(crate) fn decide_kernels<T: Element>(
     mats: &[&CscMatrix<T>],
     out_colptr: &[usize],
     ranges: &[Range<usize>],
@@ -479,56 +485,196 @@ pub(crate) fn kway_numeric_cached<T: Element, O: Monoid<Value = T>>(
     recycle: RecycledBufs<T>,
 ) -> (CscMatrix<T>, Vec<NumericKernel>) {
     debug_assert!(!O::MAY_FILTER, "filtering monoids must bypass the cache");
-    let n = mats[0].ncols();
-    let m = mats[0].nrows();
-    debug_assert_eq!(pattern.colptr.len(), n + 1);
-
-    let RecycledBufs {
-        mut colptr,
-        rows: mut rowidx,
-        vals: mut values,
-    } = recycle;
-    colptr.clear();
-    colptr.extend_from_slice(&pattern.colptr);
-    let nnz = *colptr.last().unwrap();
-    rowidx.clear();
-    rowidx.extend_from_slice(&pattern.rowidx);
-    // Every slot gets a first touch, so recycled values need no reset.
-    values.truncate(nnz);
-    values.resize(nnz, T::default());
-
-    let counts: Vec<usize> = colptr.windows(2).map(|w| w[1] - w[0]).collect();
-    let ranges = plan_ranges(&counts, 0, ctx.sched);
+    let (m, n) = mats[0].shape();
+    let HitLayout {
+        colptr,
+        mut rowidx,
+        mut values,
+        ranges,
+    } = HitLayout::of(pattern, ctx.sched, recycle);
     // A memoized dispatch replays the cold run's per-chunk decisions;
     // the identical counts reproduce the identical ranges, so no chunk
     // is ever rescored on the warm path.
     let decisions = decide_kernels(mats, &colptr, &ranges, dispatch);
     let map = pattern.scatter_map(mats, &ranges);
     let chunks = split_output(&colptr, &ranges, &mut rowidx, &mut values);
-
-    chunks.into_par_iter().for_each(|chunk| {
-        for (i, a) in mats.iter().enumerate() {
-            let (cp, vals) = (a.colptr(), a.values());
-            let base = map.base(i);
-            for j in chunk.cols.clone() {
-                let out = &mut chunk.vals[colptr[j] - chunk.base..colptr[j + 1] - chunk.base];
-                let (lo, hi) = (cp[j], cp[j + 1]);
-                for (g, &v) in (base + lo..).zip(&vals[lo..hi]) {
-                    let (p, first) = map.slot(g);
-                    if first {
-                        out[p] = v;
-                    } else {
-                        monoid.combine(&mut out[p], v);
-                    }
-                }
-            }
-        }
+    let inside = claimed_map(chunks, |chunk| {
+        scatter_chunk(chunk, mats, map, pattern, monoid)
     });
-
+    assert!(
+        inside.iter().all(|&ok| ok),
+        "a hit's inputs have the cached structure"
+    );
     (
         CscMatrix::from_parts(m, n, colptr, rowidx, values),
         decisions,
     )
+}
+
+/// A hit's output buffers — `colptr` copied from the pattern, `rowidx`
+/// and `values` sized to it (filled by [`scatter_chunk`]) — and the
+/// weight-balanced chunk ranges the cold run used.
+struct HitLayout<T> {
+    colptr: Vec<usize>,
+    rowidx: Vec<u32>,
+    values: Vec<T>,
+    ranges: Vec<Range<usize>>,
+}
+
+impl<T: Element> HitLayout<T> {
+    fn of(pattern: &Pattern, sched: Scheduling, recycle: RecycledBufs<T>) -> Self {
+        let RecycledBufs {
+            mut colptr,
+            rows: mut rowidx,
+            vals: mut values,
+        } = recycle;
+        colptr.clear();
+        colptr.extend_from_slice(&pattern.colptr);
+        let nnz = *colptr.last().unwrap();
+        // Each chunk copies its rows from the pattern and gives every
+        // value slot a first touch, so recycled buffers need no reset.
+        rowidx.truncate(nnz);
+        rowidx.resize(nnz, 0);
+        values.truncate(nnz);
+        values.resize(nnz, T::default());
+        let counts: Vec<usize> = colptr.windows(2).map(|w| w[1] - w[0]).collect();
+        let ranges = plan_ranges(&counts, 0, sched);
+        Self {
+            colptr,
+            rowidx,
+            values,
+            ranges,
+        }
+    }
+}
+
+/// Fills one output chunk of a hit: copies its rows from the pattern,
+/// then sweeps the operands in order over its columns, storing each
+/// slot's first touch and combining the rest. Returns `false` iff an
+/// entry's slot fell outside its output column, which only inputs
+/// without the map's structure can cause (a speculative sweep; see
+/// [`kway_scatter_speculative`]); the chunk's values are then garbage.
+fn scatter_chunk<T: Element, O: Monoid<Value = T>>(
+    chunk: OutChunk<'_, T>,
+    mats: &[&CscMatrix<T>],
+    map: &ScatterMap,
+    pattern: &Pattern,
+    monoid: O,
+) -> bool {
+    let colptr = &pattern.colptr;
+    let len = chunk.rows.len();
+    chunk
+        .rows
+        .copy_from_slice(&pattern.rowidx[chunk.base..chunk.base + len]);
+    let mut inside = true;
+    for (i, a) in mats.iter().enumerate() {
+        let (cp, vals) = (a.colptr(), a.values());
+        let base = map.base(i);
+        for j in chunk.cols.clone() {
+            let out = &mut chunk.vals[colptr[j] - chunk.base..colptr[j + 1] - chunk.base];
+            let (lo, hi) = (cp[j], cp[j + 1]);
+            for (g, &v) in (base + lo..).zip(&vals[lo..hi]) {
+                let (p, first) = map.slot(g);
+                match out.get_mut(p) {
+                    Some(slot) if first => *slot = v,
+                    Some(slot) => monoid.combine(slot, v),
+                    None => inside = false,
+                }
+            }
+        }
+    }
+    inside
+}
+
+/// What [`kway_scatter_speculative`] produced.
+pub(crate) struct Speculation<T> {
+    /// The scatter's result: the hit's output iff the inputs turn out to
+    /// have the pattern's structure.
+    pub(crate) out: CscMatrix<T>,
+    /// The chunk ranges it used (a confirmed hit replays its kernel
+    /// decisions over them).
+    pub(crate) ranges: Vec<Range<usize>>,
+    /// Every operand's [`digest_one`], in operand order.
+    pub(crate) digests: Vec<Digest>,
+    /// Whether every entry landed inside its output column.
+    pub(crate) inside: bool,
+    /// The digests' share of the region's summed worker time.
+    pub(crate) digest_share: f64,
+}
+
+/// A hit's scatter and the inputs' fingerprint sweep as one parallel
+/// region, before the fingerprint says whether `pattern` is the inputs'
+/// structure. The workers claim the digest items (one per operand) and
+/// the scatter chunks from one queue, so a hit wakes its workers once
+/// rather than once per sweep. The pattern's scatter map must be built
+/// and [`ScatterMap::fits`] `mats`, which keeps every access in bounds
+/// whatever their structure; the caller keeps the output only if the
+/// fingerprint confirms the pattern.
+pub(crate) fn kway_scatter_speculative<T: Element, O: Monoid<Value = T>>(
+    mats: &[&CscMatrix<T>],
+    pattern: &Pattern,
+    monoid: O,
+    sched: Scheduling,
+    recycle: RecycledBufs<T>,
+) -> Speculation<T> {
+    debug_assert!(!O::MAY_FILTER, "filtering monoids must bypass the cache");
+    let (m, n) = mats[0].shape();
+    let structs = structures(mats);
+    let map = pattern
+        .built_scatter_map()
+        .filter(|map| map.fits(&structs))
+        .expect("a guess has a built map that fits the inputs");
+    let HitLayout {
+        colptr,
+        mut rowidx,
+        mut values,
+        ranges,
+    } = HitLayout::of(pattern, sched, recycle);
+    let chunks = split_output(&colptr, &ranges, &mut rowidx, &mut values);
+    enum Work<'a, T> {
+        Digest(Structure<'a>),
+        Chunk(OutChunk<'a, T>),
+    }
+    enum Done {
+        Digest(Digest),
+        Chunk(bool),
+    }
+    let work: Vec<Work<'_, T>> = structs
+        .into_iter()
+        .map(Work::Digest)
+        .chain(chunks.into_iter().map(Work::Chunk))
+        .collect();
+    let done = claimed_map(work, |item| {
+        let t0 = spk_obs::now();
+        let done = match item {
+            Work::Digest(s) => Done::Digest(digest_one(s)),
+            Work::Chunk(c) => Done::Chunk(scatter_chunk(c, mats, map, pattern, monoid)),
+        };
+        (done, t0.elapsed().as_secs_f64())
+    });
+    let (mut digests, mut inside) = (Vec::with_capacity(mats.len()), true);
+    let (mut digest_secs, mut total_secs) = (0.0, 0.0);
+    for (d, secs) in done {
+        total_secs += secs;
+        match d {
+            Done::Digest(digest) => {
+                digests.push(digest);
+                digest_secs += secs;
+            }
+            Done::Chunk(ok) => inside &= ok,
+        }
+    }
+    Speculation {
+        out: CscMatrix::from_parts(m, n, colptr, rowidx, values),
+        ranges,
+        digests,
+        inside,
+        digest_share: if total_secs > 0.0 {
+            digest_secs / total_secs
+        } else {
+            0.0
+        },
+    }
 }
 
 /// Squeezes out the per-column slack left by an upper-bound allocation.

@@ -398,7 +398,11 @@ pub struct ExecuteStats {
     /// sortedness, the lookup, and, on a miss, capturing the output
     /// structure for next time. Zero when the plan has no cache or its
     /// monoid filters; then sortedness is validated by a serial scan that
-    /// no phase counts.
+    /// no phase counts. When the sweep shares one parallel region with a
+    /// scatter into a repeating pattern, the region's wall time is split
+    /// between this and [`ExecuteStats::numeric`] by the two sweeps'
+    /// shares of the worker time (a scatter whose guess the lookup did
+    /// not confirm still counts as numeric).
     pub fingerprint: f64,
     /// `true` iff the symbolic phase was skipped outright because the
     /// collection's structure was found in the plan's pattern cache.

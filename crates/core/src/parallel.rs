@@ -10,7 +10,10 @@
 //! that policy, and [`Scheduling`] selects between it and the naive static
 //! split (kept for the ablation study).
 
+use rayon::prelude::*;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// How columns are assigned to parallel tasks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,6 +176,57 @@ pub fn split_output<'a, T>(
     out
 }
 
+/// Maps `items` through `f` on the current pool's workers and returns the
+/// results in item order. Workers claim items one at a time from a shared
+/// queue instead of taking one contiguous share each, so a worker that
+/// starts late or is preempted hands its unclaimed items to the others
+/// and delays the region by at most the item it holds.
+pub(crate) fn claimed_map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    enum Slot<T, R> {
+        Waiting(T),
+        Running,
+        Done(R),
+    }
+    let slots: Vec<Mutex<Slot<T, R>>> = items
+        .into_iter()
+        .map(|t| Mutex::new(Slot::Waiting(t)))
+        .collect();
+    // Each lock is held only to move an item out or a result in.
+    let swap = |i: usize, new: Slot<T, R>| {
+        std::mem::replace(&mut *slots[i].lock().expect("slot poisoned"), new)
+    };
+    claim_each(slots.len(), &|i| {
+        let Slot::Waiting(item) = swap(i, Slot::Running) else {
+            unreachable!("each index is claimed once");
+        };
+        swap(i, Slot::Done(f(item)));
+    });
+    slots
+        .into_iter()
+        .map(|slot| match slot.into_inner().expect("slot poisoned") {
+            Slot::Done(r) => r,
+            _ => unreachable!("every claimed item ran"),
+        })
+        .collect()
+}
+
+/// Runs `f(i)` for every `i < n` on the current pool's workers, which
+/// claim indices from a shared counter. Not generic, so the region
+/// compiles once, here: a generic version changed how downstream crates'
+/// generic code was split into codegen units, and slowed phases that
+/// never call it.
+fn claim_each(n: usize, f: &(dyn Fn(usize) + Sync)) {
+    let next = AtomicUsize::new(0);
+    let workers = rayon::current_num_threads().clamp(1, n.max(1));
+    (0..workers).into_par_iter().for_each(|_| loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
+        }
+        f(i);
+    });
+}
+
 /// Runs `f` on a dedicated rayon pool of `threads` threads (0 = the global
 /// pool). Benchmarks use this for strong-scaling sweeps.
 pub fn run_with_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
@@ -257,6 +311,47 @@ mod tests {
         assert_eq!(x, 2);
         let y = run_with_threads(0, || 42);
         assert_eq!(y, 42);
+    }
+
+    #[test]
+    fn claimed_map_keeps_item_order() {
+        for threads in [1, 2, 3] {
+            for n in [0usize, 1, 2, 7, 64] {
+                let out =
+                    run_with_threads(threads, || claimed_map((0..n).collect(), |i: usize| i * 10));
+                assert_eq!(out, (0..n).map(|i| i * 10).collect::<Vec<_>>());
+            }
+        }
+    }
+
+    #[test]
+    fn claimed_map_hands_a_blocked_workers_share_to_the_others() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::Duration;
+        // Item 0 waits until every other item is done. With one
+        // contiguous share per worker, its holder would also own items
+        // 1..4 and the wait could never end.
+        let done = AtomicUsize::new(0);
+        let waited = run_with_threads(2, || {
+            claimed_map((0..8usize).collect(), |i| {
+                let mut ok = true;
+                if i == 0 {
+                    let t0 = spk_obs::now();
+                    while done.load(Ordering::Acquire) < 7 {
+                        if t0.elapsed() > Duration::from_secs(20) {
+                            ok = false;
+                            break;
+                        }
+                        std::thread::yield_now();
+                    }
+                } else {
+                    done.fetch_add(1, Ordering::Release);
+                }
+                ok
+            })
+        });
+        assert!(waited[0], "the other worker never took item 0's neighbours");
+        assert_eq!(done.load(Ordering::Relaxed), 7);
     }
 
     #[test]

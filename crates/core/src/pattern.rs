@@ -33,6 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::kway::NumericKernel;
+use crate::parallel::claimed_map;
 use rayon::prelude::*;
 use spk_sparse::{CscMatrix, Element};
 
@@ -127,9 +128,13 @@ impl Absorber {
 /// One matrix's structure — its `colptr` and `rowidx` — which is all
 /// the fingerprint and the scatter map read. Keeping that code free of
 /// the value type compiles it once instead of once per element type.
-type Structure<'a> = (&'a [usize], &'a [u32]);
+pub(crate) type Structure<'a> = (&'a [usize], &'a [u32]);
 
-fn structures<'a, T: Element>(mats: &[&'a CscMatrix<T>]) -> Vec<Structure<'a>> {
+/// One matrix's [`digest_one`] result: its two-lane summary and its
+/// strict-sortedness verdict.
+pub(crate) type Digest = ((u64, u64), bool);
+
+pub(crate) fn structures<'a, T: Element>(mats: &[&'a CscMatrix<T>]) -> Vec<Structure<'a>> {
     mats.iter().map(|a| (a.colptr(), a.rowidx())).collect()
 }
 
@@ -138,7 +143,7 @@ fn structures<'a, T: Element>(mats: &[&'a CscMatrix<T>]) -> Vec<Structure<'a>> {
 /// — computed in the same sweep, so a validating plan with a cache never
 /// scans `rowidx` a second time. Includes a separator word so an empty
 /// matrix still contributes state.
-fn digest_one((colptr, rows): Structure<'_>) -> ((u64, u64), bool) {
+pub(crate) fn digest_one((colptr, rows): Structure<'_>) -> Digest {
     let nnz = rows.len();
     let mut ab = Absorber::new();
     ab.push(0xa5a5_a5a5_5a5a_5a5a ^ nnz as u64);
@@ -192,21 +197,30 @@ impl PatternFingerprint {
         Self::scan_structures(shape, &structures(mats))
     }
 
-    fn scan_structures((m, n): (usize, usize), mats: &[Structure<'_>]) -> (Self, Vec<bool>) {
-        let mut ab = Absorber::new();
-        ab.push(m as u64);
-        ab.push(n as u64);
-        let mut total_nnz = 0u64;
-        let mut words = 0usize;
-        for (colptr, rowidx) in mats {
-            total_nnz += rowidx.len() as u64;
-            words += rowidx.len() / 2 + colptr.len();
-        }
-        let digests: Vec<((u64, u64), bool)> = if words >= PARALLEL_DIGEST_WORDS && mats.len() > 1 {
-            mats.to_vec().into_par_iter().map(digest_one).collect()
+    fn scan_structures(shape: (usize, usize), mats: &[Structure<'_>]) -> (Self, Vec<bool>) {
+        let words: usize = mats
+            .iter()
+            .map(|(colptr, rowidx)| rowidx.len() / 2 + colptr.len())
+            .sum();
+        let digests = if words >= PARALLEL_DIGEST_WORDS && mats.len() > 1 {
+            claimed_map(mats.to_vec(), digest_one)
         } else {
             mats.iter().map(|&a| digest_one(a)).collect()
         };
+        Self::fold(shape, mats, digests)
+    }
+
+    /// Folds the per-matrix `digests` of `mats` (one per matrix, in
+    /// order) into the collection's print, and hands the verdicts back.
+    pub(crate) fn fold(
+        (m, n): (usize, usize),
+        mats: &[Structure<'_>],
+        digests: Vec<Digest>,
+    ) -> (Self, Vec<bool>) {
+        debug_assert_eq!(digests.len(), mats.len());
+        let mut ab = Absorber::new();
+        ab.push(m as u64);
+        ab.push(n as u64);
         let mut sorted = Vec::with_capacity(mats.len());
         for ((da, db), is_sorted) in digests {
             ab.push(da);
@@ -217,7 +231,7 @@ impl PatternFingerprint {
         let fp = Self {
             lane_a,
             lane_b,
-            total_nnz,
+            total_nnz: mats.iter().map(|(_, rowidx)| rowidx.len() as u64).sum(),
             k: mats.len() as u32,
         };
         (fp, sorted)
@@ -256,6 +270,11 @@ impl Pattern {
             let _span = spk_obs::span!("spkadd.pattern.scatter_build");
             ScatterMap::build(&structures(mats), &self.colptr, &self.rowidx, ranges)
         })
+    }
+
+    /// The scatter map, if a hit has built it.
+    pub(crate) fn built_scatter_map(&self) -> Option<&ScatterMap> {
+        self.scatter.get()
     }
 }
 
@@ -364,6 +383,18 @@ impl ScatterMap {
         }
     }
 
+    /// Whether `mats` have as many operands, each with as many entries,
+    /// as the inputs the map was built from. Then every input entry has a
+    /// map slot, so a sweep of `mats` through the map stays in bounds
+    /// even before their structure is known to match.
+    pub(crate) fn fits(&self, mats: &[Structure<'_>]) -> bool {
+        self.offsets.len() == mats.len() + 1
+            && mats
+                .iter()
+                .zip(self.offsets.windows(2))
+                .all(|((_, rows), w)| rows.len() == w[1] - w[0])
+    }
+
     /// Global index of operand `i`'s first entry.
     #[inline]
     pub(crate) fn base(&self, i: usize) -> usize {
@@ -421,6 +452,9 @@ pub struct PatternCache {
     misses: u64,
     insertions: u64,
     evictions: u64,
+    /// The fingerprint the last lookup hit, and whether the lookup before
+    /// it hit the same one.
+    recent: Option<(PatternFingerprint, bool)>,
     /// Process-wide `spkadd.pattern.*` counters, resolved once at
     /// construction so the per-lookup cost is one relaxed add.
     obs: PatternObs,
@@ -460,6 +494,7 @@ impl PatternCache {
             misses: 0,
             insertions: 0,
             evictions: 0,
+            recent: None,
             obs: PatternObs::new(),
         }
     }
@@ -474,14 +509,31 @@ impl PatternCache {
                 self.hits += 1;
                 self.obs.hits.inc();
                 slot.last_used = self.tick;
+                let again = self.recent.is_some_and(|(last, _)| last == *fp);
+                self.recent = Some((*fp, again));
                 Some(Arc::clone(&slot.pattern))
             }
             None => {
                 self.misses += 1;
                 self.obs.misses.inc();
+                self.recent = None;
                 None
             }
         }
+    }
+
+    /// The pattern the last two lookups both hit, once a hit has built its
+    /// scatter map: the next collection of a steady stream most likely
+    /// repeats it, so the plan scatters into it while fingerprinting
+    /// (see `SpkAddPlan::run`). Streams that alternate between patterns
+    /// never hit one twice in a row, so they are never offered one.
+    pub(crate) fn repeating(&self) -> Option<Arc<Pattern>> {
+        let (fp, true) = self.recent? else {
+            return None;
+        };
+        let pattern = &self.entries.get(&fp)?.pattern;
+        pattern.built_scatter_map()?;
+        Some(Arc::clone(pattern))
     }
 
     /// Inserts (or refreshes) a structure together with the per-chunk
@@ -762,5 +814,35 @@ mod tests {
         assert_eq!(s.entries, 2);
         assert_eq!(s.capacity, 2);
         assert_eq!((s.hits, s.misses), (3, 1));
+    }
+
+    #[test]
+    fn repeating_needs_two_hits_in_a_row_and_a_built_map() {
+        let (a, b, c) = (diag(8, 0), diag(8, 1), diag(8, 2));
+        let print = |m: &CscMatrix<f64>| PatternFingerprint::of(&[m]);
+        let mut cache = PatternCache::new(2);
+        for m in [&a, &b] {
+            cache.insert(print(m), m.colptr(), m.rowidx(), &[]);
+        }
+        let pa = cache.lookup(&print(&a)).unwrap();
+        assert!(cache.repeating().is_none(), "one hit is no streak");
+        cache.lookup(&print(&a)).unwrap();
+        assert!(cache.repeating().is_none(), "no map built yet");
+        let map = pa.scatter_map(&[&a], &[0..4, 4..8]);
+        assert!(map.fits(&structures(&[&a])));
+        assert!(map.fits(&structures(&[&b])), "same entry count");
+        assert!(!map.fits(&structures(&[&a, &a])), "operand count");
+        assert!(!map.fits(&structures(&[&CscMatrix::<f64>::zeros(8, 8)])));
+        let guess = cache.repeating().expect("two hits on a built map");
+        assert!(Arc::ptr_eq(&guess, &pa));
+        // Alternating patterns never repeat; a miss ends the streak.
+        cache.lookup(&print(&b)).unwrap();
+        assert!(cache.repeating().is_none());
+        cache.lookup(&print(&a)).unwrap();
+        assert!(cache.repeating().is_none());
+        cache.lookup(&print(&a)).unwrap();
+        assert!(cache.repeating().is_some());
+        assert!(cache.lookup(&print(&c)).is_none());
+        assert!(cache.repeating().is_none());
     }
 }

@@ -29,12 +29,13 @@
 //! ```
 
 use crate::kway::{
-    kway_numeric, kway_numeric_cached, KernelCounts, KernelDispatch, NumericKernel, RecycledBufs,
+    decide_kernels, kway_numeric, kway_numeric_cached, kway_scatter_speculative, KernelCounts,
+    KernelDispatch, NumericKernel, RecycledBufs, Speculation,
 };
 use crate::monoid::{Monoid, Plus};
 use crate::parallel::Scheduling;
 use crate::pattern::{
-    Pattern, PatternCache, PatternCacheStats, PatternFingerprint, PatternOutcome,
+    structures, Pattern, PatternCache, PatternCacheStats, PatternFingerprint, PatternOutcome,
 };
 use crate::sliding::budget_entries;
 use crate::symbolic::{symbolic_counts, DriverCtx, SymbolicStrategy};
@@ -390,6 +391,14 @@ impl<T: Element, O: Monoid<Value = T>> SpkAddPlan<T, O> {
         Ok(all_sorted)
     }
 
+    /// Runs `f` on the plan's workers (its own pool when it has one).
+    fn on_workers<R: Send>(&self, f: impl FnOnce() -> R + Send) -> R {
+        match &self.thread_pool {
+            Some(tp) => tp.install(f),
+            None => f(),
+        }
+    }
+
     fn run(
         &mut self,
         mats: &[&CscMatrix<T>],
@@ -411,15 +420,52 @@ impl<T: Element, O: Monoid<Value = T>> SpkAddPlan<T, O> {
         // structure depends on the values being folded, so a cached
         // structure from one execution may be wrong for the next even at
         // identical input sparsity.
+        //
+        // When the last two executions hit the same pattern, the next one
+        // most likely repeats it: the sweep then runs in one region with
+        // the scatter into that pattern, and the lookup below decides
+        // whether the scatter's output is the result. A hit thus wakes
+        // the workers once; a wrong guess costs one wasted scatter, and
+        // a stream that alternates between patterns never guesses.
         let mut fingerprint_secs = 0.0;
+        let mut speculative_numeric_secs = 0.0;
         let mut scan: Option<(PatternFingerprint, Vec<bool>)> = None;
+        let mut speculation: Option<(Arc<Pattern>, Speculation<T>)> = None;
+        let mut recycle = Some(recycle);
         if self.cache.is_some() && !O::MAY_FILTER {
-            // `timed` records the span from the same measurement that
-            // lands in `ExecuteStats::fingerprint`.
-            let (fused, dur) =
-                spk_obs::timed("spkadd.fingerprint", || PatternFingerprint::scan(mats));
-            fingerprint_secs = dur.as_secs_f64();
-            scan = Some(fused);
+            let structs = structures(mats);
+            let guess = self
+                .cache
+                .as_ref()
+                .and_then(PatternCache::repeating)
+                .filter(|p| p.built_scatter_map().is_some_and(|map| map.fits(&structs)));
+            if let Some(pattern) = guess {
+                let (monoid, sched) = (self.monoid, self.opts.scheduling);
+                let recycled = recycle.take().unwrap_or_default();
+                let start = spk_obs::now();
+                let mut spec = self.on_workers(|| {
+                    kway_scatter_speculative(mats, &pattern, monoid, sched, recycled)
+                });
+                let wall = start.elapsed();
+                // The region's wall time is split between the two phases
+                // by their shares of the summed worker time, and each part
+                // is traced with the same measurement the stats report.
+                let sweep = wall.mul_f64(spec.digest_share);
+                spk_obs::record_explicit("spkadd.fingerprint", start, sweep);
+                spk_obs::record_explicit("spkadd.numeric", start + sweep, wall - sweep);
+                fingerprint_secs = sweep.as_secs_f64();
+                speculative_numeric_secs = (wall - sweep).as_secs_f64();
+                let digests = std::mem::take(&mut spec.digests);
+                scan = Some(PatternFingerprint::fold(shape, &structs, digests));
+                speculation = Some((pattern, spec));
+            } else {
+                // `timed` records the span from the same measurement that
+                // lands in `ExecuteStats::fingerprint`.
+                let (fused, dur) =
+                    spk_obs::timed("spkadd.fingerprint", || PatternFingerprint::scan(mats));
+                fingerprint_secs = dur.as_secs_f64();
+                scan = Some(fused);
+            }
         }
         let verdicts = scan.as_ref().map(|(_, v)| v.as_slice());
         let inputs_sorted = self.detect_sorted(mats, verdicts)?;
@@ -499,11 +545,39 @@ impl<T: Element, O: Monoid<Value = T>> SpkAddPlan<T, O> {
         let symbolic = self.opts.symbolic;
         let monoid = self.monoid;
         let pool = &self.pool;
+        // The speculative scatter is the result iff the lookup found the
+        // pattern it assumed; otherwise its buffers are recycled.
+        let confirmed = match (speculation, hit.as_ref()) {
+            (Some((assumed, spec)), Some(found)) if Arc::ptr_eq(&assumed, found) => {
+                assert!(spec.inside, "a confirmed guess stays inside its structure");
+                Some(spec)
+            }
+            (Some((_, spec)), _) => {
+                recycle = Some(RecycledBufs::from_matrix(spec.out));
+                None
+            }
+            (None, _) => None,
+        };
+        let recycle = recycle.unwrap_or_default();
         let hit_pattern = hit;
         // Every phase is measured through `spk_obs::timed`, so the spans
         // a trace captures and the `ExecuteStats` a caller reads are the
         // same numbers — not two clocks around roughly the same code.
         let body = move || {
+            if let Some(spec) = confirmed {
+                let dispatch = dispatch
+                    .as_ref()
+                    .expect("hits only occur on the k-way path");
+                let decisions = decide_kernels(mats, spec.out.colptr(), &spec.ranges, dispatch);
+                return (
+                    spec.out,
+                    ExecuteStats {
+                        symbolic_skipped: true,
+                        ..ExecuteStats::default()
+                    },
+                    decisions,
+                );
+            }
             if let Some(pattern) = hit_pattern.as_deref() {
                 let ((out, decisions), dur) = spk_obs::timed("spkadd.numeric", || {
                     kway_numeric_cached(
@@ -600,10 +674,8 @@ impl<T: Element, O: Monoid<Value = T>> SpkAddPlan<T, O> {
                 }
             }
         };
-        let (out, mut stats, decisions) = match &self.thread_pool {
-            Some(tp) => tp.install(body),
-            None => body(),
-        };
+        let (out, mut stats, decisions) = self.on_workers(body);
+        stats.numeric += speculative_numeric_secs;
         if let Some(fp) = insert_on_miss {
             // Capture the cold result's structure — post-compaction, so
             // exact even when the symbolic strategy was `UpperBound` —

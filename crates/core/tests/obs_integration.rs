@@ -171,6 +171,55 @@ fn first_hit_builds_the_scatter_map_once_inside_numeric() {
 }
 
 #[test]
+fn a_repeating_hit_traces_its_one_sweep_as_both_phases() {
+    let _g = lock();
+    let mats = collection();
+    let refs: Vec<&CscMatrix<f64>> = mats.iter().collect();
+    let mut plan = SpkAdd::new(ROWS, COLS)
+        .algorithm(Algorithm::Hash)
+        .threads(2)
+        .pattern_cache(2)
+        .build::<f64>()
+        .unwrap();
+    // Miss, then two hits on the same pattern: the next execution
+    // fingerprints and scatters in one region.
+    let (_, cold) = run_timed(&mut plan, &refs);
+    for _ in 0..2 {
+        run_timed(&mut plan, &refs);
+    }
+    spk_obs::set_tracing(true);
+    spk_obs::take_spans();
+    let stats = run_timed(&mut plan, &refs).1;
+    spk_obs::set_tracing(false);
+    assert_eq!(stats.pattern, PatternOutcome::Hit);
+    let spans = spk_obs::take_spans();
+    let phase = |name: &str| -> Vec<&spk_obs::SpanRecord> {
+        spans.iter().filter(|s| s.name == name).collect()
+    };
+    let n = names(&spans);
+    assert!(phase("spkadd.symbolic").is_empty(), "{n:?}");
+    assert!(phase("spkadd.pattern.scatter_build").is_empty(), "{n:?}");
+    // One numeric span, the stats' own measurement, starting where the
+    // sweep's share of the region ends.
+    let numeric = phase("spkadd.numeric");
+    assert_eq!(numeric.len(), 1, "{n:?}");
+    assert_eq!(numeric[0].dur_ns, (stats.numeric * 1e9).round() as u64);
+    let fingerprint = phase("spkadd.fingerprint");
+    assert!(
+        fingerprint
+            .iter()
+            .any(|f| f.start_ns + f.dur_ns == numeric[0].start_ns),
+        "the sweep's span ends where numeric starts: {fingerprint:?} {numeric:?}"
+    );
+    let fp_ns: u64 = fingerprint.iter().map(|f| f.dur_ns).sum();
+    assert!(fp_ns.abs_diff((stats.fingerprint * 1e9).round() as u64) <= 2);
+    // The replayed decisions still emit one event per chunk.
+    let events = n.iter().filter(|s| s.starts_with("kway.dispatch.")).count() as u64;
+    assert_eq!(events, stats.kernel_counts.total());
+    assert_eq!(stats.kernel_counts, cold.kernel_counts);
+}
+
+#[test]
 fn pattern_counters_move_on_the_global_registry() {
     let _g = lock();
     let mats = collection();

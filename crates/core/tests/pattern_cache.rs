@@ -678,3 +678,153 @@ fn auto_falls_back_to_hash_on_unsorted_pairs_with_the_cache_on() {
         }
     }
 }
+
+/// From the fourth execution of one structure on, the plan scatters into
+/// the pattern the last two lookups hit while it fingerprints; the
+/// lookup then confirms the guess.
+#[test]
+fn repeated_hits_scatter_while_fingerprinting_and_match_cold() {
+    for unsorted_dups in [false, true] {
+        let mats = tricky_collection(unsorted_dups);
+        let refs: Vec<&CscMatrix<f64>> = mats.iter().collect();
+        for alg in KWAY_AND_AUTO {
+            if unsorted_dups && !matches!(alg, Algorithm::Hash | Algorithm::Spa | Algorithm::Auto) {
+                continue;
+            }
+            let what = format!("{alg} dups={unsorted_dups}");
+            let mut cached = SpkAdd::new(16, 6)
+                .algorithm(alg)
+                .pattern_cache(2)
+                .build::<f64>()
+                .unwrap();
+            let (_, s1) = run_timed(&mut cached, &refs);
+            // One output buffer recycled throughout, as steady callers
+            // do; new values every time (scaling by a power of two keeps
+            // every fold exact and every sign).
+            let mut sink = CscMatrix::zeros(0, 0);
+            for rep in 0..5 {
+                let what = format!("{what} rep {rep}");
+                let scaled = rescale(&mats, f64::from(1 << rep));
+                let scaled_refs: Vec<&CscMatrix<f64>> = scaled.iter().collect();
+                let cold = SpkAdd::new(16, 6)
+                    .algorithm(alg)
+                    .build::<f64>()
+                    .unwrap()
+                    .execute(&scaled_refs)
+                    .unwrap();
+                let s = cached.execute_into_timed(&scaled_refs, &mut sink).unwrap();
+                assert_eq!(s.pattern, PatternOutcome::Hit, "{what}");
+                assert!(s.symbolic_skipped, "{what}");
+                assert_eq!(s.kernel_counts, s1.kernel_counts, "{what}");
+                assert_bitwise_eq(&sink, &cold, &what);
+            }
+        }
+    }
+}
+
+/// `mats` with one entry of operand 0 moved from the first nonempty
+/// column to the next one: every operand keeps its entry count, so the
+/// repeating pattern's map still fits, but column lengths change.
+fn entry_moved_across_columns(mats: &[CscMatrix<f64>]) -> Vec<CscMatrix<f64>> {
+    let mut out = mats.to_vec();
+    let (m, n, mut colptr, mut rows, vals) = out[0].clone().into_parts();
+    let j = (0..n - 1).find(|&j| colptr[j + 1] > colptr[j]).unwrap();
+    // The last entry of column j becomes the first of column j + 1, at
+    // a row no other entry of that column uses.
+    let taken: Vec<u32> = rows[colptr[j + 1]..colptr[j + 2]].to_vec();
+    let e = colptr[j + 1] - 1;
+    rows[e] = (0..m as u32).find(|r| !taken.contains(r)).unwrap();
+    colptr[j + 1] -= 1;
+    let mut moved = CscMatrix::try_new(m, n, colptr, rows, vals).unwrap();
+    moved.sort_columns();
+    out[0] = moved;
+    out
+}
+
+/// A guess that the lookup does not confirm is thrown away: the result
+/// is the one the lookup's outcome calls for, bit for bit.
+#[test]
+fn an_unconfirmed_guess_falls_back_to_the_lookup() {
+    for alg in KWAY_AND_AUTO {
+        let a = collection(Pattern::Er, 0x5EC);
+        // Same entry counts as `a`, different rows (columns keep their
+        // lengths) or different column lengths.
+        let mut b = a.clone();
+        restructure_in_place(&mut b);
+        let c = entry_moved_across_columns(&a);
+        fn refs(ms: &[CscMatrix<f64>]) -> Vec<&CscMatrix<f64>> {
+            ms.iter().collect()
+        }
+        let cold = |ms: &[CscMatrix<f64>]| {
+            SpkAdd::new(M, N)
+                .algorithm(alg)
+                .build::<f64>()
+                .unwrap()
+                .execute(&refs(ms))
+                .unwrap()
+        };
+        let mut plan = SpkAdd::new(M, N)
+            .algorithm(alg)
+            .pattern_cache(2)
+            .build::<f64>()
+            .unwrap();
+        let mut sink = CscMatrix::zeros(0, 0);
+        let mut run = |ms: &[CscMatrix<f64>]| {
+            let s = plan.execute_into_timed(&refs(ms), &mut sink).unwrap();
+            assert_bitwise_eq(&sink, &cold(ms), &format!("{alg}"));
+            s.pattern
+        };
+        use PatternOutcome::{Hit, Miss};
+        // b is cached, then a repeats until the plan guesses it.
+        let steps: [(&[CscMatrix<f64>], PatternOutcome); 9] = [
+            (&b, Miss),
+            (&a, Miss),
+            (&a, Hit),
+            (&a, Hit),
+            // Guesses a; the lookup hits b instead.
+            (&b, Hit),
+            (&a, Hit),
+            (&a, Hit),
+            // Guesses a; c is new (a's map sends entries past their
+            // columns' ends).
+            (&c, Miss),
+            (&a, Hit),
+        ];
+        for (i, (ms, want)) in steps.into_iter().enumerate() {
+            assert_eq!(run(ms), want, "{alg} step {i}");
+        }
+    }
+}
+
+/// A guess never hides a validation error: the fingerprint sweep's
+/// verdicts still reject an unsorted operand before anything is
+/// returned, and the cache keeps working afterwards.
+#[test]
+fn a_guess_still_reports_an_unsorted_operand() {
+    let mats = collection(Pattern::Er, 77);
+    let bad = unsorted_last(mats.clone());
+    let refs: Vec<&CscMatrix<f64>> = mats.iter().collect();
+    let bad_refs: Vec<&CscMatrix<f64>> = bad.iter().collect();
+    let mut plan = SpkAdd::new(M, N)
+        .algorithm(Algorithm::Heap)
+        .pattern_cache(2)
+        .build::<f64>()
+        .unwrap();
+    let expect = SpkAdd::new(M, N)
+        .algorithm(Algorithm::Heap)
+        .build::<f64>()
+        .unwrap()
+        .execute(&refs)
+        .unwrap();
+    for _ in 0..3 {
+        plan.execute(&refs).unwrap();
+    }
+    let err = plan.execute(&bad_refs).unwrap_err();
+    assert!(
+        matches!(err, SpkaddError::UnsortedInput { operand, .. } if operand == K - 1),
+        "{err:?}"
+    );
+    let (out, s) = run_timed(&mut plan, &refs);
+    assert_eq!(s.pattern, PatternOutcome::Hit);
+    assert_eq!(out, expect);
+}

@@ -231,13 +231,13 @@ impl<T: Element> CscMatrix<T> {
     /// implies no duplicate entries) — the canonical CSC form, and the input
     /// precondition of the 2-way and heap SpKAdd algorithms.
     pub fn is_sorted(&self) -> bool {
-        (0..self.ncols).all(|j| self.col(j).rows.windows(2).all(|w| w[0] < w[1]))
+        columns_sorted(&self.colptr, &self.rowidx, true)
     }
 
     /// `true` when every column is non-decreasing by row index (duplicates
     /// allowed).
     pub fn is_sorted_with_duplicates(&self) -> bool {
-        (0..self.ncols).all(|j| self.col(j).rows.windows(2).all(|w| w[0] <= w[1]))
+        columns_sorted(&self.colptr, &self.rowidx, false)
     }
 
     /// Sorts each column by row index (values carried along). Duplicates are
@@ -709,6 +709,22 @@ impl<T: Scalar> CscMatrix<T> {
         self.values.truncate(write);
         self.colptr = new_colptr;
     }
+}
+
+/// The scan behind [`CscMatrix::is_sorted`] (`strict`) and
+/// [`CscMatrix::is_sorted_with_duplicates`]. It reads only the structure,
+/// so it is not generic over the value type: it compiles once, here, and
+/// its speed does not depend on how a downstream crate's generic code is
+/// split into codegen units.
+fn columns_sorted(colptr: &[usize], rowidx: &[u32], strict: bool) -> bool {
+    colptr.windows(2).all(|c| {
+        let rows = &rowidx[c[0]..c[1]];
+        if strict {
+            rows.windows(2).all(|w| w[0] < w[1])
+        } else {
+            rows.windows(2).all(|w| w[0] <= w[1])
+        }
+    })
 }
 
 #[cfg(test)]
