@@ -197,12 +197,18 @@ impl PatternFingerprint {
         Self::scan_structures(shape, &structures(mats))
     }
 
-    fn scan_structures(shape: (usize, usize), mats: &[Structure<'_>]) -> (Self, Vec<bool>) {
+    /// Whether a collection is large enough for its fingerprint sweep to
+    /// run on the workers.
+    pub(crate) fn sweeps_in_parallel(mats: &[Structure<'_>]) -> bool {
         let words: usize = mats
             .iter()
             .map(|(colptr, rowidx)| rowidx.len() / 2 + colptr.len())
             .sum();
-        let digests = if words >= PARALLEL_DIGEST_WORDS && mats.len() > 1 {
+        words >= PARALLEL_DIGEST_WORDS && mats.len() > 1
+    }
+
+    fn scan_structures(shape: (usize, usize), mats: &[Structure<'_>]) -> (Self, Vec<bool>) {
+        let digests = if Self::sweeps_in_parallel(mats) {
             claimed_map(mats.to_vec(), digest_one)
         } else {
             mats.iter().map(|&a| digest_one(a)).collect()

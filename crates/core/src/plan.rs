@@ -422,21 +422,25 @@ impl<T: Element, O: Monoid<Value = T>> SpkAddPlan<T, O> {
         // identical input sparsity.
         //
         // When the last two executions hit the same pattern, the next one
-        // most likely repeats it: the sweep then runs in one region with
-        // the scatter into that pattern, and the lookup below decides
-        // whether the scatter's output is the result. A hit thus wakes
-        // the workers once; a wrong guess costs one wasted scatter, and
-        // a stream that alternates between patterns never guesses.
+        // most likely repeats it: the sweep of a large enough collection
+        // then runs in one region with the scatter into that pattern, and
+        // the lookup below decides whether the scatter's output is the
+        // result. A hit thus wakes the workers once; a wrong guess costs
+        // one wasted scatter, and a stream that alternates between
+        // patterns never guesses.
         let mut fingerprint_secs = 0.0;
         let mut speculative_numeric_secs = 0.0;
         let mut scan: Option<(PatternFingerprint, Vec<bool>)> = None;
         let mut speculation: Option<(Arc<Pattern>, Speculation<T>)> = None;
         let mut recycle = Some(recycle);
         if self.cache.is_some() && !O::MAY_FILTER {
+            // A collection too small for a parallel sweep is not worth a
+            // guess either: the region would cost more than it saves.
             let structs = structures(mats);
             let guess = self
                 .cache
                 .as_ref()
+                .filter(|_| PatternFingerprint::sweeps_in_parallel(&structs))
                 .and_then(PatternCache::repeating)
                 .filter(|p| p.built_scatter_map().is_some_and(|map| map.fits(&structs)));
             if let Some(pattern) = guess {

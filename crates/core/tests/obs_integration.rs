@@ -173,9 +173,14 @@ fn first_hit_builds_the_scatter_map_once_inside_numeric() {
 #[test]
 fn a_repeating_hit_traces_its_one_sweep_as_both_phases() {
     let _g = lock();
-    let mats = collection();
+    // Wide enough for a parallel fingerprint sweep, which a guess needs.
+    const WIDE: usize = 6000;
+    let mut mats = generate_collection(Pattern::Rmat, ROWS, WIDE, 6, 6, 11);
+    for m in &mut mats {
+        m.sort_columns();
+    }
     let refs: Vec<&CscMatrix<f64>> = mats.iter().collect();
-    let mut plan = SpkAdd::new(ROWS, COLS)
+    let mut plan = SpkAdd::new(ROWS, WIDE)
         .algorithm(Algorithm::Hash)
         .threads(2)
         .pattern_cache(2)

@@ -679,20 +679,41 @@ fn auto_falls_back_to_hash_on_unsorted_pairs_with_the_cache_on() {
     }
 }
 
+/// Columns of the guessed-path collections: enough that their
+/// fingerprint sweep runs in parallel, which a guess requires.
+const WIDE: usize = 6 * 1400;
+
+/// [`tricky_collection`] repeated side by side, [`WIDE`] columns wide.
+fn wide_tricky_collection(unsorted_dups: bool) -> Vec<CscMatrix<f64>> {
+    tricky_collection(unsorted_dups)
+        .iter()
+        .map(|m| CscMatrix::hstack(&vec![m; WIDE / 6]).unwrap())
+        .collect()
+}
+
+/// [`collection`] with [`WIDE`] columns.
+fn wide_collection(pattern: Pattern, seed: u64) -> Vec<CscMatrix<f64>> {
+    let mut mats = generate_collection(pattern, M, WIDE, D, K, seed);
+    for m in &mut mats {
+        m.sort_columns();
+    }
+    mats
+}
+
 /// From the fourth execution of one structure on, the plan scatters into
 /// the pattern the last two lookups hit while it fingerprints; the
 /// lookup then confirms the guess.
 #[test]
 fn repeated_hits_scatter_while_fingerprinting_and_match_cold() {
     for unsorted_dups in [false, true] {
-        let mats = tricky_collection(unsorted_dups);
+        let mats = wide_tricky_collection(unsorted_dups);
         let refs: Vec<&CscMatrix<f64>> = mats.iter().collect();
         for alg in KWAY_AND_AUTO {
             if unsorted_dups && !matches!(alg, Algorithm::Hash | Algorithm::Spa | Algorithm::Auto) {
                 continue;
             }
             let what = format!("{alg} dups={unsorted_dups}");
-            let mut cached = SpkAdd::new(16, 6)
+            let mut cached = SpkAdd::new(16, WIDE)
                 .algorithm(alg)
                 .pattern_cache(2)
                 .build::<f64>()
@@ -706,7 +727,7 @@ fn repeated_hits_scatter_while_fingerprinting_and_match_cold() {
                 let what = format!("{what} rep {rep}");
                 let scaled = rescale(&mats, f64::from(1 << rep));
                 let scaled_refs: Vec<&CscMatrix<f64>> = scaled.iter().collect();
-                let cold = SpkAdd::new(16, 6)
+                let cold = SpkAdd::new(16, WIDE)
                     .algorithm(alg)
                     .build::<f64>()
                     .unwrap()
@@ -722,13 +743,30 @@ fn repeated_hits_scatter_while_fingerprinting_and_match_cold() {
     }
 }
 
-/// `mats` with one entry of operand 0 moved from the first nonempty
-/// column to the next one: every operand keeps its entry count, so the
-/// repeating pattern's map still fits, but column lengths change.
+/// `mats` with one entry of operand 0 moved to the next column: every
+/// operand keeps its entry count, so the repeating pattern's map still
+/// fits, but column lengths change. The column is chosen so that the
+/// moved entry's slot (its position in its old output column) lies past
+/// the end of its new output column.
 fn entry_moved_across_columns(mats: &[CscMatrix<f64>]) -> Vec<CscMatrix<f64>> {
-    let mut out = mats.to_vec();
-    let (m, n, mut colptr, mut rows, vals) = out[0].clone().into_parts();
-    let j = (0..n - 1).find(|&j| colptr[j + 1] > colptr[j]).unwrap();
+    let refs: Vec<&CscMatrix<f64>> = mats.iter().collect();
+    let (m, n) = mats[0].shape();
+    let sum = SpkAdd::new(m, n)
+        .algorithm(Algorithm::Hash)
+        .build::<f64>()
+        .unwrap()
+        .execute(&refs)
+        .unwrap();
+    let (_, _, mut colptr, mut rows, vals) = mats[0].clone().into_parts();
+    // The last (largest) row of operand 0's column j sits at this
+    // position of output column j, which is sorted.
+    let slot = |j: usize| {
+        let last = rows[colptr[j + 1] - 1];
+        sum.col(j).rows.iter().filter(|&&r| r < last).count()
+    };
+    let j = (0..n - 1)
+        .find(|&j| colptr[j + 1] > colptr[j] && slot(j) >= sum.col(j + 1).rows.len())
+        .expect("some column's last slot is past the next column's end");
     // The last entry of column j becomes the first of column j + 1, at
     // a row no other entry of that column uses.
     let taken: Vec<u32> = rows[colptr[j + 1]..colptr[j + 2]].to_vec();
@@ -737,6 +775,7 @@ fn entry_moved_across_columns(mats: &[CscMatrix<f64>]) -> Vec<CscMatrix<f64>> {
     colptr[j + 1] -= 1;
     let mut moved = CscMatrix::try_new(m, n, colptr, rows, vals).unwrap();
     moved.sort_columns();
+    let mut out = mats.to_vec();
     out[0] = moved;
     out
 }
@@ -746,7 +785,7 @@ fn entry_moved_across_columns(mats: &[CscMatrix<f64>]) -> Vec<CscMatrix<f64>> {
 #[test]
 fn an_unconfirmed_guess_falls_back_to_the_lookup() {
     for alg in KWAY_AND_AUTO {
-        let a = collection(Pattern::Er, 0x5EC);
+        let a = wide_collection(Pattern::Er, 0x5EC);
         // Same entry counts as `a`, different rows (columns keep their
         // lengths) or different column lengths.
         let mut b = a.clone();
@@ -756,14 +795,14 @@ fn an_unconfirmed_guess_falls_back_to_the_lookup() {
             ms.iter().collect()
         }
         let cold = |ms: &[CscMatrix<f64>]| {
-            SpkAdd::new(M, N)
+            SpkAdd::new(M, WIDE)
                 .algorithm(alg)
                 .build::<f64>()
                 .unwrap()
                 .execute(&refs(ms))
                 .unwrap()
         };
-        let mut plan = SpkAdd::new(M, N)
+        let mut plan = SpkAdd::new(M, WIDE)
             .algorithm(alg)
             .pattern_cache(2)
             .build::<f64>()
@@ -801,16 +840,16 @@ fn an_unconfirmed_guess_falls_back_to_the_lookup() {
 /// returned, and the cache keeps working afterwards.
 #[test]
 fn a_guess_still_reports_an_unsorted_operand() {
-    let mats = collection(Pattern::Er, 77);
+    let mats = wide_collection(Pattern::Er, 77);
     let bad = unsorted_last(mats.clone());
     let refs: Vec<&CscMatrix<f64>> = mats.iter().collect();
     let bad_refs: Vec<&CscMatrix<f64>> = bad.iter().collect();
-    let mut plan = SpkAdd::new(M, N)
+    let mut plan = SpkAdd::new(M, WIDE)
         .algorithm(Algorithm::Heap)
         .pattern_cache(2)
         .build::<f64>()
         .unwrap();
-    let expect = SpkAdd::new(M, N)
+    let expect = SpkAdd::new(M, WIDE)
         .algorithm(Algorithm::Heap)
         .build::<f64>()
         .unwrap()
