@@ -4,9 +4,9 @@
 //! than the output — so high-cf collections stress it disproportionately
 //! (the paper's Fig 4(d) observation: "the symbolic phase needed hash
 //! tables that are 27× larger"). This harness times the hash numeric
-//! phase under four symbolic strategies (hash, sliding hash, SPA, and
-//! the upper-bound/no-symbolic path with post-compaction) for collections
-//! with cf ∈ {1.5, 4, 16}.
+//! phase under five symbolic strategies (hash, sliding hash, SPA, heap —
+//! the protein inputs are sorted — and the upper-bound/no-symbolic path
+//! with post-compaction) for collections with cf ∈ {1.5, 4, 16}.
 //!
 //! Usage: `cargo run --release -p spk_bench --bin ablation_symbolic
 //! [--rows R] [--cols C] [--d D] [--k K] [--threads T]`
@@ -54,6 +54,7 @@ fn main() {
             SymbolicStrategy::Hash,
             SymbolicStrategy::SlidingHash,
             SymbolicStrategy::Spa,
+            SymbolicStrategy::Heap,
             SymbolicStrategy::UpperBound,
         ] {
             let mut opts = Options::default();

@@ -9,7 +9,7 @@
 //! | `safety-comment` | every `unsafe` block / `unsafe impl` is preceded (≤ 10 lines, skipping blanks/attributes/sibling impls) or trailed on the same line by a `// SAFETY:` comment |
 //! | `instant-now` | no `Instant::now()` outside `crates/obs` (timing flows through `spk_obs` spans / `spk_obs::now`); `crates/shims`, `crates/bench`, tests and benches are exempt |
 //! | `no-unwrap` | no `.unwrap()` / `.expect(` in `crates/server/src` outside `#[cfg(test)]` modules — request paths must degrade, not abort |
-//! | `shim-parity` | every `rand::` / `rayon::` / `proptest::` / `criterion::` item referenced in the workspace exists in the matching `crates/shims` crate (the Standing-constraints footgun, caught with a readable message before rustc's) |
+//! | `shim-parity` | every `rand::` / `rayon::` / `proptest::` item referenced in the workspace exists in the matching `crates/shims` crate (the Standing-constraints footgun, caught with a readable message before rustc's) |
 //! | `bench-schema` | every checked-in `BENCH_*.json` carries the `spk_obs.run_report.v1` schema tag |
 //!
 //! A violation can be waived with a `spk-lint: allow(<rule>)` comment
@@ -470,7 +470,7 @@ fn rule_no_unwrap(file: &str, lines: &[ScanLine], out: &mut Vec<Violation>) {
 
 // ---- shim parity ----------------------------------------------------
 
-const SHIM_CRATES: [&str; 4] = ["rand", "rayon", "proptest", "criterion"];
+const SHIM_CRATES: [&str; 3] = ["rand", "rayon", "proptest"];
 
 /// Collects the public surface of one shim crate: item names, macro
 /// names, re-exports, and module file stems.

@@ -19,7 +19,7 @@
 //! lookup confirms the guess (`kway_scatter_speculative`).
 
 use crate::kernels::{hash_add_column, heap_add_column, spa_add_column};
-use crate::mem::NullModel;
+use crate::mem::TaskModels;
 use crate::monoid::Monoid;
 use crate::parallel::{
     claimed_map, exclusive_prefix_sum, exclusive_prefix_sum_into, plan_ranges, split_output,
@@ -28,9 +28,10 @@ use crate::parallel::{
 use crate::pattern::{digest_one, structures, Digest, Pattern, ScatterMap, Structure};
 use crate::sliding::sliding_add_column;
 use crate::spa::sliding_spa_add_column;
-use crate::symbolic::DriverCtx;
+use crate::symbolic::{DriverCtx, SymbolicStrategy};
 use crate::tuning::{ChunkProfile, ChunkScorer};
 use crate::workspace::WorkspacePool;
+use crate::Algorithm;
 use rayon::prelude::*;
 use spk_sparse::{ColView, CscMatrix, Element};
 use std::ops::Range;
@@ -106,6 +107,30 @@ impl std::fmt::Display for NumericKernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.token())
     }
+}
+
+/// The k-way phases `alg` runs: its numeric kernel and its symbolic
+/// strategy. The strategy is `requested`, except that Sliding Hash slides
+/// its symbolic phase too (Alg 8 line 2) unless the caller picked a
+/// strategy other than the default hash. `None` for the 2-way and library
+/// folds, which have no separate phases, and for the unresolved `Auto`.
+pub(crate) fn kway_phases(
+    alg: Algorithm,
+    requested: SymbolicStrategy,
+) -> Option<(NumericKernel, SymbolicStrategy)> {
+    let kernel = match alg {
+        Algorithm::Heap => NumericKernel::Heap,
+        Algorithm::Spa => NumericKernel::Spa,
+        Algorithm::Hash => NumericKernel::Hash,
+        Algorithm::SlidingHash => NumericKernel::SlidingHash,
+        Algorithm::SlidingSpa => NumericKernel::SlidingSpa,
+        _ => return None,
+    };
+    let strategy = match (kernel, requested) {
+        (NumericKernel::SlidingHash, SymbolicStrategy::Hash) => SymbolicStrategy::SlidingHash,
+        _ => requested,
+    };
+    Some((kernel, strategy))
 }
 
 /// Per-kernel chunk histogram of one (or an aggregation of) execution(s):
@@ -309,7 +334,8 @@ impl<T: Element> RecycledBufs<T> {
 /// [`KernelDispatch::Fixed`], the scored mix under adaptive dispatch.
 /// Every kernel folds duplicates in matrix order and fills the same
 /// per-column windows, so the decisions change *how* each chunk is
-/// materialized, never its bits.
+/// materialized, never its bits. Each task reports its memory traffic to
+/// the model `models` lends it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn kway_numeric<T: Element, O: Monoid<Value = T>>(
     mats: &[&CscMatrix<T>],
@@ -320,6 +346,7 @@ pub(crate) fn kway_numeric<T: Element, O: Monoid<Value = T>>(
     ctx: &DriverCtx,
     pool: &WorkspacePool<T>,
     recycle: RecycledBufs<T>,
+    models: &impl TaskModels,
 ) -> (CscMatrix<T>, Vec<NumericKernel>) {
     let exact = exact && !O::MAY_FILTER;
     let n = mats[0].ncols();
@@ -363,88 +390,89 @@ pub(crate) fn kway_numeric<T: Element, O: Monoid<Value = T>>(
         .zip(actual_parts.into_par_iter())
         .zip(decisions.clone().into_par_iter())
         .for_each(|((chunk, actual_out), kernel)| {
-            let mut views: Vec<ColView<'_, T>> = Vec::with_capacity(k);
-            let mut mem = NullModel;
-            // Thread-private workspaces (§III-A): one per worker, reused
-            // across all chunks that worker steals — and across plan
-            // executions, because the pool outlives this call. Under
-            // adaptive dispatch one worker may serve several kernel
-            // families; the pool's components are lazy, so only the
-            // families actually dispatched get built.
-            let mut ws = pool.for_current_thread();
-            for (slot, j) in chunk.cols.clone().enumerate() {
-                views.clear();
-                views.extend(mats.iter().map(|a| a.col(j)));
-                let lo = colptr[j] - chunk.base;
-                let hi = colptr[j + 1] - chunk.base;
-                let out_rows = &mut chunk.rows[lo..hi];
-                let out_vals = &mut chunk.vals[lo..hi];
-                let written = match kernel {
-                    NumericKernel::Hash => {
-                        let ht = ws.hash();
-                        ht.reserve_for(hi - lo);
-                        hash_add_column(
+            models.lend(|mem| {
+                let mut views: Vec<ColView<'_, T>> = Vec::with_capacity(k);
+                // Thread-private workspaces (§III-A): one per worker, reused
+                // across all chunks that worker steals — and across plan
+                // executions, because the pool outlives this call. Under
+                // adaptive dispatch one worker may serve several kernel
+                // families; the pool's components are lazy, so only the
+                // families actually dispatched get built.
+                let mut ws = pool.for_current_thread();
+                for (slot, j) in chunk.cols.clone().enumerate() {
+                    views.clear();
+                    views.extend(mats.iter().map(|a| a.col(j)));
+                    let lo = colptr[j] - chunk.base;
+                    let hi = colptr[j + 1] - chunk.base;
+                    let out_rows = &mut chunk.rows[lo..hi];
+                    let out_vals = &mut chunk.vals[lo..hi];
+                    let written = match kernel {
+                        NumericKernel::Hash => {
+                            let ht = ws.hash();
+                            ht.reserve_for(hi - lo);
+                            hash_add_column(
+                                &views,
+                                ht,
+                                out_rows,
+                                out_vals,
+                                ctx.sorted_output,
+                                monoid,
+                                mem,
+                            )
+                        }
+                        NumericKernel::SlidingHash => {
+                            let (ht, scratch) = ws.hash_and_scratch();
+                            sliding_add_column(
+                                &views,
+                                m,
+                                ctx.budget_add,
+                                hi - lo,
+                                ht,
+                                out_rows,
+                                out_vals,
+                                ctx.sorted_output,
+                                ctx.inputs_sorted,
+                                monoid,
+                                scratch,
+                                mem,
+                            )
+                        }
+                        NumericKernel::Spa => spa_add_column(
                             &views,
-                            ht,
+                            ws.spa(m),
                             out_rows,
                             out_vals,
                             ctx.sorted_output,
                             monoid,
-                            &mut mem,
-                        )
-                    }
-                    NumericKernel::SlidingHash => {
-                        let (ht, scratch) = ws.hash_and_scratch();
-                        sliding_add_column(
-                            &views,
-                            m,
-                            ctx.budget_add,
-                            hi - lo,
-                            ht,
-                            out_rows,
-                            out_vals,
-                            ctx.sorted_output,
-                            ctx.inputs_sorted,
-                            monoid,
-                            scratch,
-                            &mut mem,
-                        )
-                    }
-                    NumericKernel::Spa => spa_add_column(
-                        &views,
-                        ws.spa(m),
-                        out_rows,
-                        out_vals,
-                        ctx.sorted_output,
-                        monoid,
-                        &mut mem,
-                    ),
-                    NumericKernel::SlidingSpa => {
-                        // One cache-resident row panel at a time (the
-                        // §IV-B(b) extension).
-                        let (spa, scratch) = ws.spa_and_scratch(m.min(ctx.budget_add.max(1)));
-                        sliding_spa_add_column(
-                            &views,
-                            m,
-                            ctx.budget_add,
-                            spa,
-                            out_rows,
-                            out_vals,
-                            ctx.sorted_output,
-                            ctx.inputs_sorted,
-                            monoid,
-                            scratch,
-                            &mut mem,
-                        )
-                    }
-                    NumericKernel::Heap => {
-                        heap_add_column(&views, ws.heap(k), out_rows, out_vals, monoid, &mut mem)
-                    }
-                };
-                debug_assert!(written <= hi - lo);
-                debug_assert!(!exact || written == hi - lo);
-                actual_out[slot] = written;
-            }
+                            mem,
+                        ),
+                        NumericKernel::SlidingSpa => {
+                            // One cache-resident row panel at a time (the
+                            // §IV-B(b) extension).
+                            let (spa, scratch) = ws.spa_and_scratch(m.min(ctx.budget_add.max(1)));
+                            sliding_spa_add_column(
+                                &views,
+                                m,
+                                ctx.budget_add,
+                                spa,
+                                out_rows,
+                                out_vals,
+                                ctx.sorted_output,
+                                ctx.inputs_sorted,
+                                monoid,
+                                scratch,
+                                mem,
+                            )
+                        }
+                        NumericKernel::Heap => {
+                            heap_add_column(&views, ws.heap(k), out_rows, out_vals, monoid, mem)
+                        }
+                    };
+                    debug_assert!(written <= hi - lo);
+                    debug_assert!(!exact || written == hi - lo);
+                    actual_out[slot] = written;
+                }
+            })
         });
 
     let out = if exact {
@@ -703,6 +731,7 @@ fn compact<T: Element>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mem::NullModel;
     use crate::monoid::Plus;
     use crate::parallel::Scheduling;
     use crate::symbolic::{symbolic_counts, SymbolicStrategy};
@@ -757,7 +786,7 @@ mod tests {
         let refs: Vec<&CscMatrix<f64>> = ms.iter().collect();
         let c = ctx();
         let ws = pool();
-        let counts = symbolic_counts(&refs, SymbolicStrategy::Hash, &c, &ws);
+        let counts = symbolic_counts(&refs, SymbolicStrategy::Hash, &c, &ws, &NullModel);
         let expect = oracle(&refs);
         for kernel in [
             NumericKernel::Hash,
@@ -774,6 +803,7 @@ mod tests {
                 &c,
                 &ws,
                 RecycledBufs::default(),
+                &NullModel,
             );
             assert_eq!(
                 DenseMatrix::from_csc(&out).max_abs_diff(&expect),
@@ -799,8 +829,8 @@ mod tests {
         let refs: Vec<&CscMatrix<f64>> = ms.iter().collect();
         let c = ctx();
         let ws = pool();
-        let upper = symbolic_counts(&refs, SymbolicStrategy::UpperBound, &c, &ws);
-        let exact = symbolic_counts(&refs, SymbolicStrategy::Hash, &c, &ws);
+        let upper = symbolic_counts(&refs, SymbolicStrategy::UpperBound, &c, &ws, &NullModel);
+        let exact = symbolic_counts(&refs, SymbolicStrategy::Hash, &c, &ws, &NullModel);
         let (out, _) = kway_numeric(
             &refs,
             &upper,
@@ -810,6 +840,7 @@ mod tests {
             &c,
             &ws,
             RecycledBufs::default(),
+            &NullModel,
         );
         assert_eq!(out.nnz(), exact.iter().sum::<usize>());
         assert_eq!(
@@ -825,7 +856,7 @@ mod tests {
         let mut c = ctx();
         c.sorted_output = false;
         let ws = pool();
-        let counts = symbolic_counts(&refs, SymbolicStrategy::Hash, &c, &ws);
+        let counts = symbolic_counts(&refs, SymbolicStrategy::Hash, &c, &ws, &NullModel);
         let (out, _) = kway_numeric(
             &refs,
             &counts,
@@ -835,6 +866,7 @@ mod tests {
             &c,
             &ws,
             RecycledBufs::default(),
+            &NullModel,
         );
         assert_eq!(
             DenseMatrix::from_csc(&out).max_abs_diff(&oracle(&refs)),
@@ -850,7 +882,7 @@ mod tests {
         c.budget_add = 16;
         c.budget_sym = 16;
         let ws = pool();
-        let counts = symbolic_counts(&refs, SymbolicStrategy::SlidingHash, &c, &ws);
+        let counts = symbolic_counts(&refs, SymbolicStrategy::SlidingHash, &c, &ws, &NullModel);
         let (out, _) = kway_numeric(
             &refs,
             &counts,
@@ -860,6 +892,7 @@ mod tests {
             &c,
             &ws,
             RecycledBufs::default(),
+            &NullModel,
         );
         assert_eq!(
             DenseMatrix::from_csc(&out).max_abs_diff(&oracle(&refs)),
@@ -874,7 +907,7 @@ mod tests {
         let refs: Vec<&CscMatrix<f64>> = ms.iter().collect();
         let mut c = ctx();
         let ws = pool();
-        let counts = symbolic_counts(&refs, SymbolicStrategy::Hash, &c, &ws);
+        let counts = symbolic_counts(&refs, SymbolicStrategy::Hash, &c, &ws, &NullModel);
         let (dynamic, _) = kway_numeric(
             &refs,
             &counts,
@@ -884,6 +917,7 @@ mod tests {
             &c,
             &ws,
             RecycledBufs::default(),
+            &NullModel,
         );
         c.sched = Scheduling::Static;
         let (stat, _) = kway_numeric(
@@ -895,6 +929,7 @@ mod tests {
             &c,
             &ws,
             RecycledBufs::default(),
+            &NullModel,
         );
         assert!(dynamic.approx_eq(&stat, 0.0));
     }
@@ -905,7 +940,7 @@ mod tests {
         let refs: Vec<&CscMatrix<f64>> = ms.iter().collect();
         let c = ctx();
         let ws = pool();
-        let counts = symbolic_counts(&refs, SymbolicStrategy::Hash, &c, &ws);
+        let counts = symbolic_counts(&refs, SymbolicStrategy::Hash, &c, &ws, &NullModel);
         let (expect, _) = kway_numeric(
             &refs,
             &counts,
@@ -915,6 +950,7 @@ mod tests {
             &c,
             &ws,
             RecycledBufs::default(),
+            &NullModel,
         );
         let scorer = ChunkScorer {
             rows: 8,
@@ -932,6 +968,7 @@ mod tests {
             &c,
             &ws,
             RecycledBufs::default(),
+            &NullModel,
         );
         assert_eq!(out, expect);
         assert!(!decisions.is_empty());
@@ -948,6 +985,7 @@ mod tests {
             &c,
             &ws,
             RecycledBufs::default(),
+            &NullModel,
         );
         assert_eq!(replay, expect);
         assert_eq!(replay_decisions, decisions);
@@ -959,7 +997,7 @@ mod tests {
         let refs: Vec<&CscMatrix<f64>> = ms.iter().collect();
         let c = ctx();
         let ws = pool();
-        let counts = symbolic_counts(&refs, SymbolicStrategy::Hash, &c, &ws);
+        let counts = symbolic_counts(&refs, SymbolicStrategy::Hash, &c, &ws, &NullModel);
         let (first, _) = kway_numeric(
             &refs,
             &counts,
@@ -969,6 +1007,7 @@ mod tests {
             &c,
             &ws,
             RecycledBufs::default(),
+            &NullModel,
         );
         let expect = first.clone();
         let (again, _) = kway_numeric(
@@ -980,6 +1019,7 @@ mod tests {
             &c,
             &ws,
             RecycledBufs::from_matrix(first),
+            &NullModel,
         );
         assert_eq!(again, expect);
     }

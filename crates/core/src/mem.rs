@@ -1,9 +1,13 @@
 //! Memory-access modelling for kernel instrumentation.
 //!
-//! Every SpKAdd column kernel is generic over a [`MemModel`]. In production
-//! the model is [`NullModel`], whose methods are `#[inline(always)]` no-ops
-//! that vanish at compile time, so the shipping kernels pay nothing. Two
-//! other implementations exist:
+//! Every SpKAdd column kernel is generic over a [`MemModel`], and so are
+//! the parallel drivers that run them: each driver task asks a
+//! crate-private `TaskModels` handle for its model. In production the
+//! handle and the model are [`NullModel`], whose methods are
+//! `#[inline(always)]` no-ops that vanish at compile time, so the shipping
+//! drivers pay nothing. [`crate::metered`] runs the same drivers on one
+//! worker with a caller-owned model, which the handle lends to each task
+//! in turn. Two such models exist:
 //!
 //! * [`CountingModel`] — tallies abstract work operations and bytes moved,
 //!   used by the Table I harness to validate the paper's work/I-O
@@ -15,6 +19,8 @@
 //! Addresses passed to the model are real pointer values, so spatial
 //! locality (the property the sliding-hash algorithm exists to exploit) is
 //! faithfully visible to the simulator.
+
+use std::sync::Mutex;
 
 /// Observer of a kernel's memory traffic and abstract work.
 pub trait MemModel {
@@ -37,6 +43,31 @@ impl MemModel for NullModel {
     fn write(&mut self, _addr: usize, _bytes: usize) {}
     #[inline(always)]
     fn op(&mut self, _n: u64) {}
+}
+
+/// Supplies the memory model each parallel task of a driver reports to.
+/// [`NullModel`] gives every task a fresh no-op model; `Mutex<&mut M>`
+/// lends one caller-owned model to each task in turn.
+pub(crate) trait TaskModels: Sync {
+    /// The model a task reports to.
+    type Model: MemModel;
+    /// Runs one task against its model.
+    fn lend<R>(&self, task: impl FnOnce(&mut Self::Model) -> R) -> R;
+}
+
+impl TaskModels for NullModel {
+    type Model = NullModel;
+    #[inline(always)]
+    fn lend<R>(&self, task: impl FnOnce(&mut NullModel) -> R) -> R {
+        task(&mut NullModel)
+    }
+}
+
+impl<'m, M: MemModel + Send> TaskModels for Mutex<&'m mut M> {
+    type Model = &'m mut M;
+    fn lend<R>(&self, task: impl FnOnce(&mut &'m mut M) -> R) -> R {
+        task(&mut *self.lock().expect("model mutex poisoned"))
+    }
 }
 
 /// Tallies operations and bytes; the empirical work/I-O meter of Table I.

@@ -1,54 +1,27 @@
-//! Sequential, fully-instrumented SpKAdd drivers.
+//! Metered SpKAdd: the production drivers, run on one worker against a
+//! caller-owned [`MemModel`].
 //!
-//! These run every algorithm single-threaded against one
+//! [`trace_spkadd`] validates its inputs, picks the phases the plan would
+//! run for the algorithm, and calls the same symbolic, k-way numeric and
+//! 2-way drivers the plan calls, with every task reporting its memory
+//! traffic to the caller's model. [`meter_spkadd`] plugs in a
 //! [`CountingModel`], producing the empirical work (ops) and I/O (bytes)
 //! figures that the Table I harness compares against the paper's
 //! complexity claims: 2-way incremental should scale as k², tree and heap
 //! as k·lg k in work but k in streamed I/O, SPA/hash/sliding as k.
 
-use crate::hashtab::{HashAccumulator, SymbolicHashTable};
-use crate::heap::KwayHeap;
-use crate::kernels::{hash_add_column, hash_symbolic_column, heap_add_column, spa_add_column};
+use crate::kway::{kway_numeric, kway_phases, KernelDispatch, RecycledBufs};
 use crate::mem::{CountingModel, MemModel};
 use crate::monoid::Plus;
-use crate::parallel::exclusive_prefix_sum;
-use crate::sliding::{sliding_add_column, sliding_symbolic_column, SlidingScratch};
-use crate::spa::{sliding_spa_add_column, Spa};
-use crate::twoway::{col_merge_count, col_merge_into};
-use crate::{Algorithm, SpkaddError};
-use spk_sparse::{common_shape, ColView, CscMatrix, Scalar};
+use crate::parallel::Scheduling;
+use crate::symbolic::{symbolic_counts, DriverCtx, SymbolicStrategy};
+use crate::workspace::WorkspacePool;
+use crate::{twoway, Algorithm, SpkaddError};
+use spk_sparse::{common_shape, CscMatrix, Scalar};
+use std::sync::Mutex;
 
-/// Sequential instrumented 2-way addition.
-fn meter_add_pair<T: Scalar, M: MemModel>(
-    a: &CscMatrix<T>,
-    b: &CscMatrix<T>,
-    mem: &mut M,
-) -> CscMatrix<T> {
-    let n = a.ncols();
-    let counts: Vec<usize> = (0..n)
-        .map(|j| col_merge_count(a.col(j), b.col(j), mem))
-        .collect();
-    let colptr = exclusive_prefix_sum(&counts);
-    let nnz = *colptr.last().unwrap();
-    let mut rows = vec![0u32; nnz];
-    let mut vals = vec![T::default(); nnz];
-    for j in 0..n {
-        let lo = colptr[j];
-        let hi = colptr[j + 1];
-        col_merge_into(
-            a.col(j),
-            b.col(j),
-            &mut rows[lo..hi],
-            &mut vals[lo..hi],
-            Plus::new(),
-            mem,
-        );
-    }
-    CscMatrix::from_parts(a.nrows(), n, colptr, rows, vals)
-}
-
-/// Runs `alg` sequentially with full instrumentation; returns the result
-/// and the observed counters. `budget` is the sliding-hash table budget in
+/// Runs `alg` on one worker with full instrumentation; returns the result
+/// and the observed counters. `budget` is the sliding table budget in
 /// entries (ignored by other algorithms). The library baselines are not
 /// meterable (their cost hides inside un-instrumented sort calls) and
 /// return an error.
@@ -62,61 +35,20 @@ pub fn meter_spkadd<T: Scalar>(
     Ok((result, mem))
 }
 
-/// Sequential single-"thread" SpKAdd whose every memory access is reported
-/// to the supplied [`MemModel`]. [`meter_spkadd`] plugs in a
-/// [`CountingModel`]; `spk-cachesim` plugs in a cache hierarchy to
-/// reproduce the paper's Cachegrind measurements (Table V).
-pub fn trace_spkadd<T: Scalar, M: MemModel>(
+/// One-worker SpKAdd whose every memory access is reported to the
+/// supplied [`MemModel`]: the plan's drivers, with the plan's phases for
+/// `alg` (default hash symbolic; Sliding Hash slides it) and `budget` as
+/// both sliding budgets. [`meter_spkadd`] plugs in a [`CountingModel`];
+/// `spk-cachesim` plugs in a cache hierarchy to reproduce the paper's
+/// Cachegrind measurements (Table V).
+pub fn trace_spkadd<T: Scalar, M: MemModel + Send>(
     mats: &[&CscMatrix<T>],
     alg: Algorithm,
     budget: usize,
     mem: &mut M,
 ) -> Result<CscMatrix<T>, SpkaddError> {
-    let (m, n) = common_shape(mats)?;
-    let k = mats.len();
-    if alg.needs_sorted_inputs() {
-        for (i, mat) in mats.iter().enumerate() {
-            if !mat.is_sorted() {
-                return Err(SpkaddError::UnsortedInput {
-                    algorithm: alg.name(),
-                    operand: i,
-                });
-            }
-        }
-    }
-    // Rebind so the kernel calls below can take `&mut mem` repeatedly.
-    let mut mem = &mut *mem;
-
-    let result = match alg {
-        Algorithm::TwoWayIncremental => {
-            let mut acc = mats[0].clone();
-            for a in &mats[1..] {
-                acc = meter_add_pair(&acc, a, &mut mem);
-            }
-            acc
-        }
-        Algorithm::TwoWayTree => {
-            let mut level: Vec<CscMatrix<T>> = Vec::new();
-            for pair in mats.chunks(2) {
-                level.push(match pair {
-                    [a, b] => meter_add_pair(a, b, &mut mem),
-                    [a] => (*a).clone(),
-                    _ => unreachable!(),
-                });
-            }
-            while level.len() > 1 {
-                let mut next = Vec::with_capacity(level.len().div_ceil(2));
-                for pair in level.chunks(2) {
-                    next.push(match pair {
-                        [a, b] => meter_add_pair(a, b, &mut mem),
-                        [a] => a.clone(),
-                        _ => unreachable!(),
-                    });
-                }
-                level = next;
-            }
-            level.pop().expect("non-empty collection")
-        }
+    common_shape(mats)?;
+    match alg {
         Algorithm::LibIncremental | Algorithm::LibTree => {
             return Err(SpkaddError::InvalidOptions(
                 "library baselines are not instrumentable; meter the native \
@@ -131,151 +63,43 @@ pub fn trace_spkadd<T: Scalar, M: MemModel>(
                     .to_string(),
             ))
         }
-        Algorithm::Heap
-        | Algorithm::Spa
-        | Algorithm::Hash
-        | Algorithm::SlidingHash
-        | Algorithm::SlidingSpa => {
-            // Symbolic phase (hash symbolic for hash/heap/SPA as in the
-            // paper; sliding symbolic for the sliding algorithm).
-            let mut views: Vec<ColView<'_, T>> = Vec::with_capacity(k);
-            let mut counts = vec![0usize; n];
-            match alg {
-                Algorithm::SlidingHash => {
-                    let mut ht = SymbolicHashTable::with_capacity(16);
-                    let mut scratch = SlidingScratch::new();
-                    for (j, c) in counts.iter_mut().enumerate() {
-                        views.clear();
-                        views.extend(mats.iter().map(|a| a.col(j)));
-                        *c = sliding_symbolic_column(
-                            &views,
-                            m,
-                            budget,
-                            &mut ht,
-                            true,
-                            &mut scratch,
-                            &mut mem,
-                        );
-                    }
-                }
-                _ => {
-                    let mut ht = SymbolicHashTable::with_capacity(16);
-                    for (j, c) in counts.iter_mut().enumerate() {
-                        views.clear();
-                        views.extend(mats.iter().map(|a| a.col(j)));
-                        let inz: usize = views.iter().map(|v| v.nnz()).sum();
-                        ht.reserve_for(inz);
-                        *c = hash_symbolic_column(&views, &mut ht, &mut mem);
-                    }
-                }
-            }
-            let colptr = exclusive_prefix_sum(&counts);
-            let nnz = *colptr.last().unwrap();
-            let mut rows = vec![0u32; nnz];
-            let mut vals = vec![T::default(); nnz];
-            match alg {
-                Algorithm::Heap => {
-                    let mut heap = KwayHeap::<T>::new(k);
-                    for j in 0..n {
-                        views.clear();
-                        views.extend(mats.iter().map(|a| a.col(j)));
-                        let (lo, hi) = (colptr[j], colptr[j + 1]);
-                        heap_add_column(
-                            &views,
-                            &mut heap,
-                            &mut rows[lo..hi],
-                            &mut vals[lo..hi],
-                            Plus::new(),
-                            &mut mem,
-                        );
-                    }
-                }
-                Algorithm::Spa => {
-                    let mut spa = Spa::<T>::new(m);
-                    for j in 0..n {
-                        views.clear();
-                        views.extend(mats.iter().map(|a| a.col(j)));
-                        let (lo, hi) = (colptr[j], colptr[j + 1]);
-                        spa_add_column(
-                            &views,
-                            &mut spa,
-                            &mut rows[lo..hi],
-                            &mut vals[lo..hi],
-                            true,
-                            Plus::new(),
-                            &mut mem,
-                        );
-                    }
-                }
-                Algorithm::Hash => {
-                    let mut ht = HashAccumulator::<T>::with_capacity(16);
-                    for j in 0..n {
-                        views.clear();
-                        views.extend(mats.iter().map(|a| a.col(j)));
-                        let (lo, hi) = (colptr[j], colptr[j + 1]);
-                        ht.reserve_for(hi - lo);
-                        hash_add_column(
-                            &views,
-                            &mut ht,
-                            &mut rows[lo..hi],
-                            &mut vals[lo..hi],
-                            true,
-                            Plus::new(),
-                            &mut mem,
-                        );
-                    }
-                }
-                Algorithm::SlidingHash => {
-                    let mut ht = HashAccumulator::<T>::with_capacity(16);
-                    let mut scratch = SlidingScratch::new();
-                    for j in 0..n {
-                        views.clear();
-                        views.extend(mats.iter().map(|a| a.col(j)));
-                        let (lo, hi) = (colptr[j], colptr[j + 1]);
-                        sliding_add_column(
-                            &views,
-                            m,
-                            budget,
-                            hi - lo,
-                            &mut ht,
-                            &mut rows[lo..hi],
-                            &mut vals[lo..hi],
-                            true,
-                            true,
-                            Plus::new(),
-                            &mut scratch,
-                            &mut mem,
-                        );
-                    }
-                }
-                Algorithm::SlidingSpa => {
-                    let mut spa = Spa::<T>::new(m.min(budget.max(1)));
-                    let mut scratch = SlidingScratch::new();
-                    for j in 0..n {
-                        views.clear();
-                        views.extend(mats.iter().map(|a| a.col(j)));
-                        let (lo, hi) = (colptr[j], colptr[j + 1]);
-                        sliding_spa_add_column(
-                            &views,
-                            m,
-                            budget,
-                            &mut spa,
-                            &mut rows[lo..hi],
-                            &mut vals[lo..hi],
-                            true,
-                            true,
-                            Plus::new(),
-                            &mut scratch,
-                            &mut mem,
-                        );
-                    }
-                }
-                _ => unreachable!(),
-            }
-            CscMatrix::from_parts(m, n, colptr, rows, vals)
-        }
+        _ => {}
+    }
+    let unsorted = mats.iter().position(|a| !a.is_sorted());
+    if let (Some(operand), true) = (unsorted, alg.needs_sorted_inputs()) {
+        return Err(SpkaddError::UnsortedInput {
+            algorithm: alg.name(),
+            operand,
+        });
+    }
+    let ctx = DriverCtx {
+        sched: Scheduling::default(),
+        budget_sym: budget,
+        budget_add: budget,
+        inputs_sorted: unsorted.is_none(),
+        sorted_output: true,
     };
-    Ok(result)
+    let (models, monoid) = (Mutex::new(mem), Plus::new());
+    let one_worker = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .map_err(|e| SpkaddError::InvalidOptions(format!("failed to build thread pool: {e}")))?;
+    let out = one_worker.install(|| match kway_phases(alg, SymbolicStrategy::Hash) {
+        Some((kernel, strategy)) => {
+            let pool = WorkspacePool::new(1);
+            let counts = symbolic_counts(mats, strategy, &ctx, &pool, &models);
+            let (fixed, recycle) = (KernelDispatch::Fixed(kernel), RecycledBufs::default());
+            let (out, _) = kway_numeric(
+                mats, &counts, true, &fixed, monoid, &ctx, &pool, recycle, &models,
+            );
+            out
+        }
+        None if alg == Algorithm::TwoWayTree => {
+            twoway::spkadd_tree(mats, 0, ctx.sched, monoid, &models)
+        }
+        None => twoway::spkadd_incremental(mats, 0, ctx.sched, monoid, &models),
+    });
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -358,6 +182,96 @@ mod tests {
             heap.ops,
             hash.ops
         );
+    }
+
+    /// Six 256×12 operands on strided row patterns: 8–23 entries per
+    /// column, overlapping across operands, so columns hold more entries
+    /// than a 64-entry sliding budget.
+    fn overlapping() -> Vec<CscMatrix<f64>> {
+        (0..6u32)
+            .map(|i| {
+                let (mut colptr, mut rows, mut vals) = (vec![0], Vec::new(), Vec::new());
+                for j in 0..12u32 {
+                    let mut col: Vec<u32> = (0..8 + (i * 3 + j) % 16)
+                        .map(|t| (j * 31 + i * 17 + t * (5 + i)) % 256)
+                        .collect();
+                    col.sort_unstable();
+                    col.dedup();
+                    vals.extend((0..col.len()).map(|t| (i * 7 + t as u32) as f64 * 0.125));
+                    rows.extend(col);
+                    colptr.push(rows.len());
+                }
+                CscMatrix::try_new(256, 12, colptr, rows, vals).unwrap()
+            })
+            .collect()
+    }
+
+    /// `a` with every column's entries in reverse order: valid, unsorted.
+    fn reversed(a: &CscMatrix<f64>) -> CscMatrix<f64> {
+        let (m, n, colptr, mut rows, mut vals) = a.clone().into_parts();
+        for w in colptr.windows(2) {
+            rows[w[0]..w[1]].reverse();
+            vals[w[0]..w[1]].reverse();
+        }
+        CscMatrix::try_new(m, n, colptr, rows, vals).unwrap()
+    }
+
+    fn planned(refs: &[&CscMatrix<f64>], alg: Algorithm, budget: usize) -> CscMatrix<f64> {
+        crate::SpkAdd::new(refs[0].nrows(), refs[0].ncols())
+            .algorithm(alg)
+            .table_entries(budget)
+            .build::<f64>()
+            .unwrap()
+            .execute(refs)
+            .unwrap()
+    }
+
+    #[test]
+    fn unsorted_inputs_meter_like_the_plan() {
+        let ms: Vec<CscMatrix<f64>> = overlapping().iter().map(reversed).collect();
+        let refs: Vec<&CscMatrix<f64>> = ms.iter().collect();
+        assert!(!refs[0].is_sorted());
+        for budget in [64, 1 << 20] {
+            for alg in [
+                Algorithm::Hash,
+                Algorithm::Spa,
+                Algorithm::SlidingHash,
+                Algorithm::SlidingSpa,
+            ] {
+                let (out, _) = meter_spkadd(&refs, alg, budget).unwrap();
+                assert!(out == planned(&refs, alg, budget), "{alg} at {budget}");
+            }
+        }
+    }
+
+    /// Every meterable algorithm, with `(ops, bytes_total)` on
+    /// [`overlapping`] at a 64-entry budget.
+    const GOLDEN: [(Algorithm, u64, u64); 7] = [
+        (Algorithm::TwoWayIncremental, 5718, 112572),
+        (Algorithm::TwoWayTree, 4538, 91308),
+        (Algorithm::Heap, 3870, 47640),
+        (Algorithm::Spa, 3337, 71604),
+        (Algorithm::Hash, 3581, 65372),
+        (Algorithm::SlidingHash, 3377, 64556),
+        (Algorithm::SlidingSpa, 3337, 58452),
+    ];
+
+    #[test]
+    fn meter_matches_the_plan_and_the_golden_counters() {
+        let ms = overlapping();
+        let refs: Vec<&CscMatrix<f64>> = ms.iter().collect();
+        for (alg, ops, bytes) in GOLDEN {
+            let (out, counters) = meter_spkadd(&refs, alg, 64).unwrap();
+            assert!(
+                out == planned(&refs, alg, 64),
+                "{alg} differs from the plan"
+            );
+            assert_eq!(
+                (counters.ops, counters.bytes_total()),
+                (ops, bytes),
+                "{alg}"
+            );
+        }
     }
 
     #[test]

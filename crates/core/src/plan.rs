@@ -29,9 +29,10 @@
 //! ```
 
 use crate::kway::{
-    decide_kernels, kway_numeric, kway_numeric_cached, kway_scatter_speculative, KernelCounts,
-    KernelDispatch, NumericKernel, RecycledBufs, Speculation,
+    decide_kernels, kway_numeric, kway_numeric_cached, kway_phases, kway_scatter_speculative,
+    KernelCounts, KernelDispatch, RecycledBufs, Speculation,
 };
+use crate::mem::NullModel;
 use crate::monoid::{Monoid, Plus};
 use crate::parallel::Scheduling;
 use crate::pattern::{
@@ -479,15 +480,9 @@ impl<T: Element, O: Monoid<Value = T>> SpkAddPlan<T, O> {
             Algorithm::Auto,
             "resolution yields concrete algorithms"
         );
-        let kernel = match alg {
-            Algorithm::Heap => Some(NumericKernel::Heap),
-            Algorithm::Spa => Some(NumericKernel::Spa),
-            Algorithm::Hash => Some(NumericKernel::Hash),
-            Algorithm::SlidingHash => Some(NumericKernel::SlidingHash),
-            Algorithm::SlidingSpa => Some(NumericKernel::SlidingSpa),
-            // The 2-way/library folds have no symbolic phase to skip.
-            _ => None,
-        };
+        // The 2-way/library folds have no symbolic phase to skip.
+        let phases = kway_phases(alg, self.opts.symbolic);
+        let kernel = phases.map(|(kernel, _)| kernel);
 
         // Pattern-cache routing: only the k-way family benefits.
         let mut outcome = PatternOutcome::Disabled;
@@ -546,7 +541,6 @@ impl<T: Element, O: Monoid<Value = T>> SpkAddPlan<T, O> {
             sorted_output: self.opts.sorted_output,
         };
         let sched = self.opts.scheduling;
-        let symbolic = self.opts.symbolic;
         let monoid = self.monoid;
         let pool = &self.pool;
         // The speculative scatter is the result iff the lookup found the
@@ -621,13 +615,13 @@ impl<T: Element, O: Monoid<Value = T>> SpkAddPlan<T, O> {
                 Algorithm::Auto => unreachable!("resolved above"),
                 Algorithm::TwoWayIncremental => {
                     let (out, dur) = spk_obs::timed("spkadd.numeric", || {
-                        twoway::spkadd_incremental(mats, 0, sched, monoid)
+                        twoway::spkadd_incremental(mats, 0, sched, monoid, &NullModel)
                     });
                     fold(out, dur)
                 }
                 Algorithm::TwoWayTree => {
                     let (out, dur) = spk_obs::timed("spkadd.numeric", || {
-                        twoway::spkadd_tree(mats, 0, sched, monoid)
+                        twoway::spkadd_tree(mats, 0, sched, monoid, &NullModel)
                     });
                     fold(out, dur)
                 }
@@ -647,24 +641,18 @@ impl<T: Element, O: Monoid<Value = T>> SpkAddPlan<T, O> {
                 | Algorithm::Hash
                 | Algorithm::SlidingHash
                 | Algorithm::SlidingSpa => {
-                    // Alg 8 line 2: the sliding algorithm's symbolic phase
-                    // slides too, unless the caller explicitly picked
-                    // another strategy.
-                    let strategy =
-                        if alg == Algorithm::SlidingHash && symbolic == SymbolicStrategy::Hash {
-                            SymbolicStrategy::SlidingHash
-                        } else {
-                            symbolic
-                        };
+                    let (_, strategy) = phases.expect("k-way algorithms have phases");
                     let (counts, sym_dur) = spk_obs::timed("spkadd.symbolic", || {
-                        symbolic_counts(mats, strategy, &ctx, pool)
+                        symbolic_counts(mats, strategy, &ctx, pool, &NullModel)
                     });
                     let exact = strategy != SymbolicStrategy::UpperBound;
                     let dispatch = dispatch
                         .as_ref()
                         .expect("k-way algorithms map to a dispatch");
                     let ((out, decisions), num_dur) = spk_obs::timed("spkadd.numeric", || {
-                        kway_numeric(mats, &counts, exact, dispatch, monoid, &ctx, pool, recycle)
+                        kway_numeric(
+                            mats, &counts, exact, dispatch, monoid, &ctx, pool, recycle, &NullModel,
+                        )
                     });
                     (
                         out,

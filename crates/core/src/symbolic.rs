@@ -9,7 +9,7 @@
 //! phase — the trade-off explored by the `ablation_symbolic` harness.
 
 use crate::kernels::{hash_symbolic_column, heap_symbolic_column, spa_symbolic_column};
-use crate::mem::NullModel;
+use crate::mem::TaskModels;
 use crate::parallel::{plan_ranges, Scheduling};
 use crate::sliding::sliding_symbolic_column;
 use crate::workspace::WorkspacePool;
@@ -66,7 +66,8 @@ pub fn input_nnz_per_column<T: Element>(mats: &[&CscMatrix<T>]) -> Vec<usize> {
 /// Computes `nnz(B(:,j))` for all columns in parallel, borrowing
 /// thread-private symbolic state from `pool` (§III-A) — the SPA symbolic
 /// state is O(m), so per-call allocation would charge it to every
-/// execution of a reused plan.
+/// execution of a reused plan. Each task reports its memory traffic to
+/// the model `models` lends it.
 ///
 /// The symbolic phase is *monoid-independent*: output structure is the
 /// set union of input structures, so the counts hold for any
@@ -77,6 +78,7 @@ pub(crate) fn symbolic_counts<T: Element>(
     strategy: SymbolicStrategy,
     ctx: &DriverCtx,
     pool: &WorkspacePool<T>,
+    models: &impl TaskModels,
 ) -> Vec<usize> {
     let n = mats[0].ncols();
     let m = mats[0].nrows();
@@ -98,36 +100,37 @@ pub(crate) fn symbolic_counts<T: Element>(
     }
 
     tasks.into_par_iter().for_each(|(cols_range, out)| {
-        let mut views: Vec<ColView<'_, T>> = Vec::with_capacity(k);
-        let mut mem = NullModel;
-        let mut ws = pool.for_current_thread();
-        for (slot, j) in cols_range.into_iter().enumerate() {
-            views.clear();
-            views.extend(mats.iter().map(|a| a.col(j)));
-            out[slot] = match strategy {
-                SymbolicStrategy::Hash => {
-                    let ht = ws.sym_hash();
-                    let inz: usize = views.iter().map(|c| c.nnz()).sum();
-                    ht.reserve_for(inz);
-                    hash_symbolic_column(&views, ht, &mut mem)
-                }
-                SymbolicStrategy::SlidingHash => {
-                    let (ht, scratch) = ws.sym_hash_and_scratch();
-                    sliding_symbolic_column(
-                        &views,
-                        m,
-                        ctx.budget_sym,
-                        ht,
-                        ctx.inputs_sorted,
-                        scratch,
-                        &mut mem,
-                    )
-                }
-                SymbolicStrategy::Spa => spa_symbolic_column(&views, ws.spa(m), &mut mem),
-                SymbolicStrategy::Heap => heap_symbolic_column(&views, ws.heap(k), &mut mem),
-                SymbolicStrategy::UpperBound => unreachable!("handled above"),
-            };
-        }
+        models.lend(|mem| {
+            let mut views: Vec<ColView<'_, T>> = Vec::with_capacity(k);
+            let mut ws = pool.for_current_thread();
+            for (slot, j) in cols_range.into_iter().enumerate() {
+                views.clear();
+                views.extend(mats.iter().map(|a| a.col(j)));
+                out[slot] = match strategy {
+                    SymbolicStrategy::Hash => {
+                        let ht = ws.sym_hash();
+                        let inz: usize = views.iter().map(|c| c.nnz()).sum();
+                        ht.reserve_for(inz);
+                        hash_symbolic_column(&views, ht, mem)
+                    }
+                    SymbolicStrategy::SlidingHash => {
+                        let (ht, scratch) = ws.sym_hash_and_scratch();
+                        sliding_symbolic_column(
+                            &views,
+                            m,
+                            ctx.budget_sym,
+                            ht,
+                            ctx.inputs_sorted,
+                            scratch,
+                            mem,
+                        )
+                    }
+                    SymbolicStrategy::Spa => spa_symbolic_column(&views, ws.spa(m), mem),
+                    SymbolicStrategy::Heap => heap_symbolic_column(&views, ws.heap(k), mem),
+                    SymbolicStrategy::UpperBound => unreachable!("handled above"),
+                };
+            }
+        })
     });
     counts
 }
@@ -135,6 +138,7 @@ pub(crate) fn symbolic_counts<T: Element>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mem::NullModel;
 
     fn ctx() -> DriverCtx {
         DriverCtx {
@@ -170,7 +174,7 @@ mod tests {
             SymbolicStrategy::Heap,
         ] {
             assert_eq!(
-                symbolic_counts(&refs, strategy, &c, &ws),
+                symbolic_counts(&refs, strategy, &c, &ws, &NullModel),
                 expect,
                 "{strategy:?} disagrees"
             );
@@ -182,7 +186,13 @@ mod tests {
         let ms = mats();
         let refs: Vec<&CscMatrix<f64>> = ms.iter().collect();
         assert_eq!(
-            symbolic_counts(&refs, SymbolicStrategy::UpperBound, &ctx(), &pool()),
+            symbolic_counts(
+                &refs,
+                SymbolicStrategy::UpperBound,
+                &ctx(),
+                &pool(),
+                &NullModel
+            ),
             vec![5, 4]
         );
     }
@@ -194,7 +204,13 @@ mod tests {
         let mut c = ctx();
         c.budget_sym = 16; // floor of budget_entries
         assert_eq!(
-            symbolic_counts(&refs, SymbolicStrategy::SlidingHash, &c, &pool()),
+            symbolic_counts(
+                &refs,
+                SymbolicStrategy::SlidingHash,
+                &c,
+                &pool(),
+                &NullModel
+            ),
             vec![4, 2]
         );
     }

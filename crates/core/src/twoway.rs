@@ -8,16 +8,19 @@
 //!
 //! * [`add_pair`] — one parallel 2-way addition `A + B` (count pass,
 //!   prefix sum, fill pass; columns distributed by weight);
-//! * [`spkadd_incremental`] — Alg 1: fold the collection left to right,
+//! * `spkadd_incremental` — Alg 1: fold the collection left to right,
 //!   Θ(k²·nd) work for ER inputs because every prefix is re-streamed;
-//! * [`spkadd_tree`] — balanced binary reduction, Θ(k·nd·lg k) work, the
+//! * `spkadd_tree` — balanced binary reduction, Θ(k·nd·lg k) work, the
 //!   "free" improvement the paper recommends when only a 2-way primitive
 //!   is available.
 //!
-//! All require sorted, duplicate-free input columns. A filtering monoid
-//! filters at every pairwise merge (DESIGN.md "Filtering caveat").
+//! The plan runs the folds for [`crate::Algorithm::TwoWayIncremental`]
+//! and [`crate::Algorithm::TwoWayTree`], and [`crate::metered`] runs the
+//! same drivers under a memory model. All require sorted, duplicate-free
+//! input columns. A filtering monoid filters at every pairwise merge
+//! (DESIGN.md "Filtering caveat").
 
-use crate::mem::{MemModel, NullModel};
+use crate::mem::{MemModel, NullModel, TaskModels};
 use crate::monoid::Monoid;
 use crate::parallel::{exclusive_prefix_sum, plan_ranges, split_output, Scheduling};
 use rayon::prelude::*;
@@ -137,6 +140,18 @@ pub fn add_pair<T: Element, O: Monoid<Value = T>>(
     sched: Scheduling,
     monoid: O,
 ) -> CscMatrix<T> {
+    merge_pair(a, b, threads, sched, monoid, &NullModel)
+}
+
+/// [`add_pair`], with each task reporting to the model `models` lends it.
+fn merge_pair<T: Element, O: Monoid<Value = T>>(
+    a: &CscMatrix<T>,
+    b: &CscMatrix<T>,
+    threads: usize,
+    sched: Scheduling,
+    monoid: O,
+    models: &impl TaskModels,
+) -> CscMatrix<T> {
     debug_assert_eq!(a.shape(), b.shape());
     let n = a.ncols();
     // Per-column weights for balancing: the merge cost is linear in the
@@ -156,10 +171,11 @@ pub fn add_pair<T: Element, O: Monoid<Value = T>>(
             rest = tail;
         }
         parts.into_par_iter().for_each(|(cols, out)| {
-            let mut mem = NullModel;
-            for (slot, j) in cols.into_iter().enumerate() {
-                out[slot] = col_merge_count(a.col(j), b.col(j), &mut mem);
-            }
+            models.lend(|mem| {
+                for (slot, j) in cols.into_iter().enumerate() {
+                    out[slot] = col_merge_count(a.col(j), b.col(j), mem);
+                }
+            })
         });
     }
     let colptr = exclusive_prefix_sum(&counts);
@@ -182,21 +198,22 @@ pub fn add_pair<T: Element, O: Monoid<Value = T>>(
             .into_par_iter()
             .zip(actual_parts.into_par_iter())
             .for_each(|(chunk, act)| {
-                let mut mem = NullModel;
-                for (slot, j) in chunk.cols.clone().enumerate() {
-                    let lo = colptr[j] - chunk.base;
-                    let hi = colptr[j + 1] - chunk.base;
-                    let written = col_merge_into(
-                        a.col(j),
-                        b.col(j),
-                        &mut chunk.rows[lo..hi],
-                        &mut chunk.vals[lo..hi],
-                        monoid,
-                        &mut mem,
-                    );
-                    debug_assert!(O::MAY_FILTER || written == hi - lo);
-                    act[slot] = written;
-                }
+                models.lend(|mem| {
+                    for (slot, j) in chunk.cols.clone().enumerate() {
+                        let lo = colptr[j] - chunk.base;
+                        let hi = colptr[j + 1] - chunk.base;
+                        let written = col_merge_into(
+                            a.col(j),
+                            b.col(j),
+                            &mut chunk.rows[lo..hi],
+                            &mut chunk.vals[lo..hi],
+                            monoid,
+                            mem,
+                        );
+                        debug_assert!(O::MAY_FILTER || written == hi - lo);
+                        act[slot] = written;
+                    }
+                })
             });
     }
 
@@ -219,15 +236,16 @@ pub fn add_pair<T: Element, O: Monoid<Value = T>>(
 
 /// SpKAdd by 2-way *incremental* additions (Algorithm 1): `B ← B + A_i`
 /// left to right. Quadratic in `k` for disjoint inputs.
-pub fn spkadd_incremental<T: Element, O: Monoid<Value = T>>(
+pub(crate) fn spkadd_incremental<T: Element, O: Monoid<Value = T>>(
     mats: &[&CscMatrix<T>],
     threads: usize,
     sched: Scheduling,
     monoid: O,
+    models: &impl TaskModels,
 ) -> CscMatrix<T> {
     let mut acc = mats[0].clone();
     for a in &mats[1..] {
-        acc = add_pair(&acc, a, threads, sched, monoid);
+        acc = merge_pair(&acc, a, threads, sched, monoid, models);
     }
     acc
 }
@@ -238,17 +256,18 @@ pub fn spkadd_incremental<T: Element, O: Monoid<Value = T>>(
 /// Pairs within a level are independent and run in parallel on top of the
 /// column-parallel `add_pair`; rayon's work stealing composes the two
 /// levels of parallelism.
-pub fn spkadd_tree<T: Element, O: Monoid<Value = T>>(
+pub(crate) fn spkadd_tree<T: Element, O: Monoid<Value = T>>(
     mats: &[&CscMatrix<T>],
     threads: usize,
     sched: Scheduling,
     monoid: O,
+    models: &impl TaskModels,
 ) -> CscMatrix<T> {
     // Leaf level: borrow the inputs.
     let mut level: Vec<CscMatrix<T>> = mats
         .par_chunks(2)
         .map(|pair| match pair {
-            [a, b] => add_pair(a, b, threads, sched, monoid),
+            [a, b] => merge_pair(a, b, threads, sched, monoid, models),
             [a] => (*a).clone(),
             _ => unreachable!(),
         })
@@ -258,7 +277,7 @@ pub fn spkadd_tree<T: Element, O: Monoid<Value = T>>(
         level = level
             .par_chunks(2)
             .map(|pair| match pair {
-                [a, b] => add_pair(a, b, threads, sched, monoid),
+                [a, b] => merge_pair(a, b, threads, sched, monoid, models),
                 [a] => a.clone(),
                 _ => unreachable!(),
             })
@@ -378,8 +397,8 @@ mod tests {
         let c = mat(vec![(vec![2, 3], vec![4.0, 8.0])], 4);
         let d = mat(vec![(vec![0], vec![16.0])], 4);
         let mats = [&a, &b, &c, &d];
-        let inc = spkadd_incremental(&mats, 0, Scheduling::default(), Plus::new());
-        let tree = spkadd_tree(&mats, 0, Scheduling::default(), Plus::new());
+        let inc = spkadd_incremental(&mats, 0, Scheduling::default(), Plus::new(), &NullModel);
+        let tree = spkadd_tree(&mats, 0, Scheduling::default(), Plus::new(), &NullModel);
         assert!(inc.approx_eq(&tree, 1e-12));
         assert_eq!(inc.get(2, 0).unwrap(), 5.0);
         assert_eq!(inc.get(0, 0).unwrap(), 17.0);
@@ -390,10 +409,16 @@ mod tests {
         let a = mat(vec![(vec![0], vec![1.0])], 2);
         let b = mat(vec![(vec![1], vec![2.0])], 2);
         let c = mat(vec![(vec![0], vec![4.0])], 2);
-        let three = spkadd_tree(&[&a, &b, &c], 0, Scheduling::default(), Plus::new());
+        let three = spkadd_tree(
+            &[&a, &b, &c],
+            0,
+            Scheduling::default(),
+            Plus::new(),
+            &NullModel,
+        );
         assert_eq!(three.get(0, 0).unwrap(), 5.0);
         assert_eq!(three.get(1, 0).unwrap(), 2.0);
-        let one = spkadd_tree(&[&a], 0, Scheduling::default(), Plus::new());
+        let one = spkadd_tree(&[&a], 0, Scheduling::default(), Plus::new(), &NullModel);
         assert!(one.approx_eq(&a, 0.0));
     }
 
