@@ -13,7 +13,7 @@
 //!   whichever global kernel the forced runs crown.
 //!
 //! Modes per workload: `adaptive` (Auto, per-chunk scoring), `pinned`
-//! (Auto with `adaptive(false)` — one collection-level choice), and the
+//! (Auto with `adaptive: false` — one collection-level choice), and the
 //! five forced k-way kernels. The summary reports adaptive vs the best
 //! forced/pinned time and the kernel histogram the adaptive run
 //! produced; on the skewed workload the histogram must name ≥ 2
@@ -28,7 +28,7 @@ use spk_bench::{print_table, refs, Args};
 use spk_gen::{generate_collection, Pattern};
 use spk_obs::{Json, RunReport};
 use spk_sparse::CscMatrix;
-use spkadd::{Algorithm, CacheConfig, KernelCounts, SpkAdd};
+use spkadd::{Algorithm, CacheConfig, KernelCounts, Options, SpkAdd};
 
 struct Row {
     workload: &'static str,
@@ -150,7 +150,10 @@ fn main() {
         for (mode, alg, adaptive) in modes {
             let mut plan = SpkAdd::new(nrows, ncols)
                 .algorithm(alg)
-                .adaptive(adaptive)
+                .options(Options {
+                    adaptive,
+                    ..Options::default()
+                })
                 .threads(threads)
                 .cache(cache)
                 .build::<f64>()

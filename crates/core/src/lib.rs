@@ -21,10 +21,10 @@
 //! *The sliding algorithms use binary-search row panels on sorted inputs
 //! and a bucketing pass otherwise.
 //!
-//! Beyond the core API there are [`StreamingAccumulator`] (batched
-//! streaming, the paper's future-work mode), [`spkadd_csr`] (row-wise via
-//! zero-copy transpose duality), and [`spkadd_dcsc`] (hypersparse
-//! doubly-compressed operands).
+//! Beyond the core API there is [`StreamingAccumulator`] (batched
+//! streaming, the paper's future-work mode). Every algorithm works on CSC
+//! operands only: the paper's §II-A remark that they apply equally to
+//! CSR and doubly-compressed storage is not implemented (DESIGN.md).
 //!
 //! ## Quick start: build a plan, execute it
 //!
@@ -73,7 +73,6 @@
 // safety-comment rule where unsafe *is* allowed).
 #![forbid(unsafe_code)]
 
-pub mod dcscadd;
 pub mod error;
 pub mod hashtab;
 pub mod heap;
@@ -86,7 +85,6 @@ pub mod monoid;
 pub mod parallel;
 pub mod pattern;
 pub mod plan;
-pub mod rowwise;
 pub mod sliding;
 pub mod spa;
 pub mod streaming;
@@ -95,7 +93,6 @@ pub mod tuning;
 pub mod twoway;
 pub mod workspace;
 
-pub use dcscadd::spkadd_dcsc;
 pub use error::SpkaddError;
 pub use kway::{KernelCounts, NumericKernel};
 pub use mem::{CountingModel, MemModel, NullModel};
@@ -103,7 +100,6 @@ pub use monoid::{MaxPlus, Min, Monoid, Or, Plus, SaturatingCount, ThresholdedPlu
 pub use parallel::Scheduling;
 pub use pattern::{PatternCacheStats, PatternFingerprint, PatternOutcome};
 pub use plan::{SpkAdd, SpkAddPlan};
-pub use rowwise::spkadd_csr;
 pub use streaming::{FlushPolicy, StreamingAccumulator};
 pub use symbolic::SymbolicStrategy;
 pub use tuning::{choose_algorithm, CacheConfig, ChunkProfile, ChunkScorer};
@@ -288,9 +284,8 @@ pub struct Options {
     /// Whether [`Algorithm::Auto`] dispatches kernels *per column chunk*
     /// (scoring each weight-balanced partition with [`ChunkScorer`])
     /// instead of resolving one global algorithm per execution. On by
-    /// default; turn off (or use
-    /// [`SpkAdd::adaptive`](plan::SpkAdd::adaptive)) to force the old
-    /// global Fig 2 resolution, e.g. for A/B runs. Ignored for explicit
+    /// default; turn it off to force the old global Fig 2 resolution,
+    /// e.g. for A/B runs. Ignored for explicit
     /// (non-`Auto`) algorithm choices.
     pub adaptive: bool,
     /// Capacity of the plan's pattern cache (LRU over collection

@@ -219,7 +219,10 @@ mod tests {
     fn planned(refs: &[&CscMatrix<f64>], alg: Algorithm, budget: usize) -> CscMatrix<f64> {
         crate::SpkAdd::new(refs[0].nrows(), refs[0].ncols())
             .algorithm(alg)
-            .table_entries(budget)
+            .options(crate::Options {
+                forced_table_entries: Some(budget),
+                ..crate::Options::default()
+            })
             .build::<f64>()
             .unwrap()
             .execute(refs)

@@ -34,7 +34,6 @@ use crate::kway::{
 };
 use crate::mem::NullModel;
 use crate::monoid::{Monoid, Plus};
-use crate::parallel::Scheduling;
 use crate::pattern::{
     structures, Pattern, PatternCache, PatternCacheStats, PatternFingerprint, PatternOutcome,
 };
@@ -53,7 +52,10 @@ use std::sync::Arc;
 /// execution options up front so the plan can resolve budgets and size
 /// its workspaces once.
 ///
-/// Defaults match [`Options::default`] with [`Algorithm::Auto`].
+/// Defaults match [`Options::default`] with [`Algorithm::Auto`]. Every
+/// knob is an [`Options`] field set through [`SpkAdd::options`]; the
+/// three most common ones (threads, cache model, pattern cache) also
+/// have their own setters.
 #[derive(Debug, Clone)]
 pub struct SpkAdd {
     nrows: usize,
@@ -92,46 +94,6 @@ impl SpkAdd {
         self
     }
 
-    /// Column-scheduling policy (§III-A).
-    pub fn scheduling(mut self, scheduling: Scheduling) -> Self {
-        self.opts.scheduling = scheduling;
-        self
-    }
-
-    /// Symbolic-phase strategy (§II-D).
-    pub fn symbolic(mut self, symbolic: SymbolicStrategy) -> Self {
-        self.opts.symbolic = symbolic;
-        self
-    }
-
-    /// Whether output columns are emitted sorted by row index.
-    pub fn sorted_output(mut self, sorted: bool) -> Self {
-        self.opts.sorted_output = sorted;
-        self
-    }
-
-    /// Overrides the sliding-table budget in entries (Fig 4's x-axis).
-    pub fn table_entries(mut self, entries: usize) -> Self {
-        self.opts.forced_table_entries = Some(entries);
-        self
-    }
-
-    /// Whether executions check input sortedness up front.
-    pub fn validate_sorted(mut self, validate: bool) -> Self {
-        self.opts.validate_sorted = validate;
-        self
-    }
-
-    /// Whether [`Algorithm::Auto`] dispatches per column chunk (the
-    /// default). `adaptive(false)` forces the old one-global-algorithm
-    /// resolution — the escape hatch for A/B comparisons and for callers
-    /// that want exactly the Fig 2 behavior. Explicit algorithm choices
-    /// are unaffected either way.
-    pub fn adaptive(mut self, adaptive: bool) -> Self {
-        self.opts.adaptive = adaptive;
-        self
-    }
-
     /// Retains up to `capacity` output structures keyed by input-pattern
     /// fingerprint (bounded LRU; `0` disables, the default). When an
     /// executed collection's sparsity matches a cached pattern, the
@@ -145,8 +107,9 @@ impl SpkAdd {
         self
     }
 
-    /// Replaces the whole option set (for callers that already hold an
-    /// [`Options`]).
+    /// Replaces the whole option set. Call it before [`SpkAdd::threads`],
+    /// [`SpkAdd::cache`] or [`SpkAdd::pattern_cache`]: those set one field
+    /// of the current set, and a later `options` overwrites them.
     pub fn options(mut self, opts: Options) -> Self {
         self.opts = opts;
         self
@@ -781,7 +744,10 @@ mod tests {
         let b = CscMatrix::try_new(4, 1, vec![0, 2], vec![2, 0], vec![10.0, 20.0]).unwrap();
         assert!(!a.is_sorted());
         let mut plan = SpkAdd::new(4, 1)
-            .validate_sorted(false)
+            .options(Options {
+                validate_sorted: false,
+                ..Options::default()
+            })
             .build::<f64>()
             .unwrap();
         let out = plan.execute(&[&a, &b]).unwrap();
@@ -809,7 +775,10 @@ mod tests {
     #[test]
     fn build_validates_options() {
         let err = SpkAdd::new(4, 4)
-            .table_entries(0)
+            .options(Options {
+                forced_table_entries: Some(0),
+                ..Options::default()
+            })
             .build::<f64>()
             .unwrap_err();
         assert!(matches!(err, SpkaddError::InvalidOptions(_)));

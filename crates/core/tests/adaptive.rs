@@ -14,8 +14,8 @@
 use spk_gen::{generate_collection, Pattern};
 use spk_sparse::CscMatrix;
 use spkadd::{
-    Algorithm, CacheConfig, Min, Monoid, NumericKernel, Or, PatternOutcome, Plus, SaturatingCount,
-    SpkAdd, ThresholdedPlus,
+    Algorithm, CacheConfig, Min, Monoid, NumericKernel, Options, Or, PatternOutcome, Plus,
+    SaturatingCount, SpkAdd, ThresholdedPlus,
 };
 
 mod common;
@@ -206,7 +206,10 @@ fn no_adaptive_escape_hatch_pins_the_collection_level_choice() {
     let refs: Vec<&CscMatrix<f64>> = mats.iter().collect();
     let mut pinned = SpkAdd::new(M, N)
         .algorithm(Algorithm::Auto)
-        .adaptive(false)
+        .options(Options {
+            adaptive: false,
+            ..Options::default()
+        })
         .threads(3)
         .build::<f64>()
         .unwrap();

@@ -8,8 +8,8 @@
 use spk_gen::{generate_collection, Pattern};
 use spk_sparse::{CscMatrix, DenseMatrix};
 use spkadd::{
-    Algorithm, ExecuteStats, Min, Monoid, NumericKernel, Or, PatternOutcome, SpkAdd, SpkaddError,
-    SymbolicStrategy, ThresholdedPlus,
+    Algorithm, ExecuteStats, Min, Monoid, NumericKernel, Options, Or, PatternOutcome, SpkAdd,
+    SpkaddError, SymbolicStrategy, ThresholdedPlus,
 };
 
 mod common;
@@ -337,7 +337,10 @@ fn unsorted_output_mode_caches_too() {
     let refs: Vec<&CscMatrix<f64>> = mats.iter().collect();
     let mut plan = SpkAdd::new(M, N)
         .algorithm(Algorithm::Hash)
-        .sorted_output(false)
+        .options(Options {
+            sorted_output: false,
+            ..Options::default()
+        })
         .pattern_cache(2)
         .build::<f64>()
         .unwrap();
@@ -492,13 +495,11 @@ fn hit_scatter_is_bitwise_equal_to_cold_on_edge_cases() {
                     "{alg} dups={unsorted_dups} sorted={sorted_output} table={table_entries:?}"
                 );
                 let builder = || {
-                    let b = SpkAdd::new(16, 6)
-                        .algorithm(alg)
-                        .sorted_output(sorted_output);
-                    match table_entries {
-                        Some(t) => b.table_entries(t),
-                        None => b,
-                    }
+                    SpkAdd::new(16, 6).algorithm(alg).options(Options {
+                        sorted_output,
+                        forced_table_entries: table_entries,
+                        ..Options::default()
+                    })
                 };
                 let cold = builder().build::<f64>().unwrap().execute(&refs).unwrap();
                 // The stored entry itself (`get` sums from `+0.0` on
@@ -599,7 +600,10 @@ fn fused_validation_reports_an_unsorted_last_operand() {
     ] {
         let mut plan = SpkAdd::new(M, N)
             .algorithm(alg)
-            .symbolic(symbolic)
+            .options(Options {
+                symbolic,
+                ..Options::default()
+            })
             .pattern_cache(2)
             .build::<f64>()
             .unwrap();
@@ -628,7 +632,10 @@ fn fused_validation_still_trusts_the_caller() {
     let build = |validate| {
         SpkAdd::new(10, 1)
             .algorithm(Algorithm::TwoWayTree)
-            .validate_sorted(validate)
+            .options(Options {
+                validate_sorted: validate,
+                ..Options::default()
+            })
             .pattern_cache(2)
             .build::<f64>()
             .unwrap()
@@ -656,7 +663,10 @@ fn auto_falls_back_to_hash_on_unsorted_pairs_with_the_cache_on() {
     expect.add_assign(&DenseMatrix::from_csc(&b)).unwrap();
     for validate in [true, false] {
         let mut plan = SpkAdd::new(4, 1)
-            .validate_sorted(validate)
+            .options(Options {
+                validate_sorted: validate,
+                ..Options::default()
+            })
             .pattern_cache(2)
             .build::<f64>()
             .unwrap();

@@ -126,11 +126,15 @@ fn steady_state_executes_with_zero_workspace_allocations() {
     ] {
         let mats = generate_collection(Pattern::Er, ROWS, COLS, 6, 4, 7);
         let refs: Vec<&CscMatrix<f64>> = mats.iter().collect();
-        let mut builder = SpkAdd::new(ROWS, COLS).algorithm(alg).threads(1);
-        if let Some(entries) = forced {
-            builder = builder.table_entries(entries);
-        }
-        let mut plan = builder.build::<f64>().unwrap();
+        let mut plan = SpkAdd::new(ROWS, COLS)
+            .algorithm(alg)
+            .options(Options {
+                forced_table_entries: forced,
+                ..Options::default()
+            })
+            .threads(1)
+            .build::<f64>()
+            .unwrap();
         let first = plan.execute(&refs).unwrap();
         let after_first = plan.workspace_allocations();
         let mut sink = first.clone();

@@ -1,7 +1,7 @@
 //! Coordinate (triplet) format — the builder and interchange format.
 //!
 //! Generators emit COO (R-MAT naturally produces edge triplets, possibly
-//! with duplicates), files parse to COO, and COO converts to CSC/CSR by
+//! with duplicates), files parse to COO, and COO converts to CSC by
 //! counting sort. Duplicate handling is explicit: [`CooMatrix::to_csc`]
 //! keeps duplicates (useful for testing the hash SpKAdd's tolerance of
 //! non-canonical inputs) while [`CooMatrix::to_csc_sum_duplicates`] merges

@@ -4,7 +4,7 @@
 //! `j`-th columns of the `k` inputs are added independently, so the column
 //! is the natural unit of both storage and parallelism.
 
-use crate::{CooMatrix, CsrMatrix, Element, Scalar, SparseError};
+use crate::{CooMatrix, Element, Scalar, SparseError};
 
 /// A borrowed view of one column: parallel slices of row indices and values.
 ///
@@ -86,11 +86,11 @@ impl<T: Element> CscMatrix<T> {
                 "nrows {nrows} exceeds u32 index range"
             )));
         }
-        if colptr.len() != ncols + 1 {
+        // `ncols + 1` would wrap at `usize::MAX`; compare the other way.
+        if colptr.len().checked_sub(1) != Some(ncols) {
             return Err(SparseError::InvalidStructure(format!(
-                "colptr length {} != ncols + 1 = {}",
-                colptr.len(),
-                ncols + 1
+                "colptr length {} != ncols ({ncols}) + 1",
+                colptr.len()
             )));
         }
         if colptr[0] != 0 {
@@ -308,12 +308,6 @@ impl<T: Element> CscMatrix<T> {
             }
         }
         CscMatrix::from_parts(self.ncols, self.nrows, colptr_t, rowidx_t, values_t)
-    }
-
-    /// Converts to CSR (same numerical matrix, row-compressed).
-    pub fn to_csr(&self) -> CsrMatrix<T> {
-        let t = self.transpose();
-        CsrMatrix::from_parts(self.nrows, self.ncols, t.colptr, t.rowidx, t.values)
     }
 
     /// Converts to coordinate (triplet) format.
@@ -739,6 +733,10 @@ mod tests {
     #[test]
     fn try_new_validates() {
         assert!(CscMatrix::<f64>::try_new(3, 3, vec![0, 1], vec![0], vec![1.0]).is_err());
+        assert!(matches!(
+            CscMatrix::<f64>::try_new(1, usize::MAX, vec![], vec![], vec![]),
+            Err(SparseError::InvalidStructure(_))
+        ));
         assert!(CscMatrix::<f64>::try_new(3, 1, vec![1, 1], vec![], vec![]).is_err());
         assert!(
             CscMatrix::<f64>::try_new(3, 1, vec![0, 1], vec![5], vec![1.0]).is_err(),

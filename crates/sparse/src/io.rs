@@ -12,6 +12,11 @@ use crate::{CooMatrix, CscMatrix, Scalar, SparseError};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
+/// Most entries the reader reserves room for up front. The size line is
+/// untrusted input: beyond this the triplet vectors grow as entries
+/// arrive, and a short file is still caught by the entry-count check.
+const MAX_RESERVED_ENTRIES: usize = 1 << 20;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Field {
     Real,
@@ -92,13 +97,17 @@ pub fn read_matrix_market_from<R: Read>(reader: R) -> Result<CooMatrix<f64>, Spa
         )));
     }
     let (nrows, ncols, nnz) = (dims[0], dims[1], dims[2]);
-
-    let cap = if symmetry == Symmetry::Symmetric {
-        nnz * 2
-    } else {
-        nnz
-    };
-    let mut coo = CooMatrix::with_capacity(nrows, ncols, cap);
+    if nrows > u32::MAX as usize || ncols > u32::MAX as usize {
+        return Err(SparseError::Parse(format!(
+            "size {nrows}x{ncols} exceeds the u32 index range"
+        )));
+    }
+    let expanded = match symmetry {
+        Symmetry::General => Some(nnz),
+        Symmetry::Symmetric => nnz.checked_mul(2),
+    }
+    .ok_or_else(|| SparseError::Parse(format!("entry count {nnz} overflows when expanded")))?;
+    let mut coo = CooMatrix::with_capacity(nrows, ncols, expanded.min(MAX_RESERVED_ENTRIES));
     let mut seen = 0usize;
     for line in lines {
         let line = line?;
@@ -222,5 +231,35 @@ mod tests {
         assert!(read_matrix_market_from(short.as_bytes()).is_err());
         let oob = "%%MatrixMarket matrix coordinate real general\n2 2 1\n5 1 1.0\n";
         assert!(read_matrix_market_from(oob.as_bytes()).is_err());
+    }
+
+    fn parse_error(text: &str) -> String {
+        match read_matrix_market_from(text.as_bytes()) {
+            Err(SparseError::Parse(msg)) => msg,
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_sizes_beyond_u32_indices() {
+        // Row 2^32 + 1 would wrap to row 0 in a u32 index.
+        let text =
+            "%%MatrixMarket matrix coordinate real general\n4294967297 1 1\n4294967297 1 5.0\n";
+        assert!(parse_error(text).contains("u32"));
+        let wide = "%%MatrixMarket matrix coordinate real general\n1 4294967297 0\n";
+        assert!(parse_error(wide).contains("u32"));
+    }
+
+    #[test]
+    fn huge_entry_count_is_not_preallocated() {
+        let text = "%%MatrixMarket matrix coordinate real general\n2 2 99999999999999\n1 1 1.0\n";
+        assert!(parse_error(text).contains("expected 99999999999999 entries, found 1"));
+    }
+
+    #[test]
+    fn symmetric_entry_count_overflow_is_an_error() {
+        let text =
+            "%%MatrixMarket matrix coordinate real symmetric\n2 2 18446744073709551615\n1 1 1.0\n";
+        assert!(parse_error(text).contains("overflows"));
     }
 }

@@ -1,12 +1,17 @@
 //! # spk-sparse — sparse matrix substrate for the SpKAdd suite
 //!
-//! Containers and conversions for sparse matrices in the three classic
-//! storage formats used by the SpKAdd paper and its surrounding systems:
+//! Containers and conversions for sparse matrices in the two storage
+//! formats the SpKAdd suite uses:
 //!
 //! * [`CscMatrix`] — compressed sparse column, the format every SpKAdd
 //!   algorithm in the paper operates on (columns are added independently);
-//! * [`CsrMatrix`] — compressed sparse row, the transpose-dual of CSC;
-//! * [`CooMatrix`] — coordinate triplets, the interchange/builder format.
+//! * [`CooMatrix`] — coordinate triplets, the interchange/builder format
+//!   behind the generators and Matrix Market I/O.
+//!
+//! [`DenseMatrix`] is the dense oracle the tests compare against. The
+//! paper's §II-A notes that its algorithms apply equally to CSR and
+//! doubly-compressed storage; this suite implements CSC only (DESIGN.md
+//! records why).
 //!
 //! Row and column indices are stored as `u32` (the paper's experiments use
 //! 32-bit indices: 8-byte hash-table entries for `f32` values, 12-byte for
@@ -25,8 +30,6 @@
 
 pub mod coo;
 pub mod csc;
-pub mod csr;
-pub mod dcsc;
 pub mod dense;
 pub mod error;
 pub mod io;
@@ -34,8 +37,6 @@ pub mod stats;
 
 pub use coo::CooMatrix;
 pub use csc::{ColView, CscMatrix};
-pub use csr::CsrMatrix;
-pub use dcsc::DcscMatrix;
 pub use dense::DenseMatrix;
 pub use error::SparseError;
 pub use stats::{CollectionStats, DegreeStats};

@@ -47,11 +47,6 @@ proptest! {
     }
 
     #[test]
-    fn csr_round_trip_is_lossless(m in matrix_strategy()) {
-        prop_assert!(m.to_csr().to_csc().approx_eq(&m, 0.0));
-    }
-
-    #[test]
     fn coo_round_trip_is_lossless(m in matrix_strategy()) {
         prop_assert!(m.to_coo().to_csc_sum_duplicates().approx_eq(&m, 0.0));
     }

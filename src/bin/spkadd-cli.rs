@@ -18,7 +18,7 @@
 //! ```
 
 use spkadd_suite::gen::{generate_collection, Pattern};
-use spkadd_suite::kadd::{Algorithm, SpkAdd};
+use spkadd_suite::kadd::{Algorithm, Options, SpkAdd};
 use spkadd_suite::server::{AggregatorService, ServerError, ServiceConfig};
 use spkadd_suite::sparse::{common_shape, io, CollectionStats, CscMatrix, DegreeStats};
 use std::process::ExitCode;
@@ -163,8 +163,11 @@ fn cmd_add(args: &[String]) -> Result<(), String> {
 
     let mut plan = SpkAdd::new(nrows, ncols)
         .algorithm(alg)
-        .adaptive(!no_adaptive)
-        .sorted_output(!unsorted)
+        .options(Options {
+            adaptive: !no_adaptive,
+            sorted_output: !unsorted,
+            ..Options::default()
+        })
         .pattern_cache(cache_cap)
         .build()
         .map_err(|e| e.to_string())?;

@@ -2,7 +2,7 @@
 //!
 //! Re-exports the whole SpKAdd reproduction workspace behind one dependency:
 //!
-//! * [`sparse`] — CSC/CSR/COO containers and I/O ([`spk_sparse`]);
+//! * [`sparse`] — CSC/COO containers and I/O ([`spk_sparse`]);
 //! * [`kadd`] — the SpKAdd algorithms themselves ([`spkadd`]);
 //! * [`gen`] — deterministic workload generators ([`spk_gen`]);
 //! * [`spgemm`] — local sparse matrix-matrix multiply ([`spk_spgemm`]);

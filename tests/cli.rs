@@ -138,3 +138,22 @@ fn cli_help_prints_usage() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE"));
 }
+
+#[test]
+fn add_rejects_an_oversized_size_line() {
+    let dir = tempdir("oversized");
+    let path = dir.join("huge.mtx");
+    std::fs::write(
+        &path,
+        "%%MatrixMarket matrix coordinate real general\n2 2 99999999999999\n1 1 1.0\n",
+    )
+    .unwrap();
+    let out = cli()
+        .args(["add", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("parse error"), "stderr: {err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
