@@ -1,7 +1,7 @@
 //! Adaptive per-partition kernel selection vs every forced global
-//! kernel, on a uniform and a skewed collection.
+//! kernel, on a uniform, a skewed and a compressed collection.
 //!
-//! Two workloads:
+//! Three workloads:
 //! * `uniform` — an ER collection with one flat density everywhere; the
 //!   per-chunk scorer should agree with the collection-level choice on
 //!   every chunk, so adaptive dispatch measures its own overhead here;
@@ -10,25 +10,34 @@
 //!   few; chunks differ in both density and effective k, so no single
 //!   kernel fits both regions and the adaptive driver should mix (SPA
 //!   family on the dense block, heap on the low-`k_eff` tail) and beat
-//!   whichever global kernel the forced runs crown.
+//!   whichever global kernel the forced runs crown;
+//! * `compressed` — SpGEMM intermediates (`protein_collection` at
+//!   `spgemm_reduce`'s shape: 2¹⁷ rows, k = 64, cf ≈ 19): sparse output
+//!   columns, but every output entry absorbs many inputs, so the
+//!   scorer's compressed corner should send the chunks to the SPA and
+//!   beat the collection-level hash choice.
 //!
 //! Modes per workload: `adaptive` (Auto, per-chunk scoring), `pinned`
 //! (Auto with `adaptive: false` — one collection-level choice), and the
 //! five forced k-way kernels. The summary reports adaptive vs the best
 //! forced/pinned time and the kernel histogram the adaptive run
 //! produced; on the skewed workload the histogram must name ≥ 2
-//! kernels. Emits a human table plus a machine-readable
-//! `spk_obs.run_report.v1` JSON report to `--out` (default
-//! `BENCH_adaptive.json`, the checked-in baseline path).
+//! kernels, on the compressed one it must name the SPA. `--rows` sizes
+//! the uniform and skewed workloads only. Emits a human table plus a
+//! machine-readable `spk_obs.run_report.v1` JSON report to `--out`
+//! (default `BENCH_adaptive.json` in the working directory, which for
+//! `cargo bench` is `crates/bench`; the checked-in baseline at the repo
+//! root was recorded with `--threads 2 --reps 10 --out
+//! ../../BENCH_adaptive.json`).
 //!
 //! Usage: `cargo bench -p spk_bench --bench adaptive_selection --
 //! [--rows R] [--reps N] [--threads T] [--out FILE]`
 
 use spk_bench::{print_table, refs, Args};
-use spk_gen::{generate_collection, Pattern};
+use spk_gen::{generate_collection, protein_collection, Pattern, ProteinConfig};
 use spk_obs::{Json, RunReport};
 use spk_sparse::CscMatrix;
-use spkadd::{Algorithm, CacheConfig, KernelCounts, Options, SpkAdd};
+use spkadd::{Algorithm, CacheConfig, KernelCounts, NumericKernel, Options, SpkAdd};
 
 struct Row {
     workload: &'static str,
@@ -113,11 +122,24 @@ fn main() {
     // hypersparse tail: dense chunks score as k_eff=12 SPA panels, tail
     // chunks as k_eff=4 near-disjoint heap merges.
     let skewed = skewed_collection(m, 2, m / 16, 12, 32766, 8, 4, 42);
+    let compressed_cfg = ProteinConfig {
+        nrows: 1 << 17,
+        ncols: 1024,
+        d: 64,
+        k: 64,
+        cf: 22.6,
+        skew: 0.6,
+    };
+    let compressed = protein_collection(&compressed_cfg, 42);
 
     let mut rows_out: Vec<Row> = Vec::new();
     let mut summary: Vec<(String, Json)> = Vec::new();
 
-    for (workload, mats) in [("uniform", &uniform), ("skewed", &skewed)] {
+    for (workload, mats) in [
+        ("uniform", &uniform),
+        ("skewed", &skewed),
+        ("compressed", &compressed),
+    ] {
         let mrefs = refs(mats);
         let (nrows, ncols) = mrefs[0].shape();
         let total_nnz: usize = mats.iter().map(|a| a.nnz()).sum();
@@ -193,6 +215,12 @@ fn main() {
                 "the skewed workload must mix kernels, got {adaptive_counts}"
             );
         }
+        if workload == "compressed" {
+            assert!(
+                adaptive_counts.get(NumericKernel::Spa) > 0,
+                "the compressed workload must reach the SPA, got {adaptive_counts}"
+            );
+        }
         let ratio = adaptive_secs / best_global.1;
         println!(
             "{workload}: adaptive {:.3} ms ({adaptive_counts}) vs best global \
@@ -252,7 +280,9 @@ fn main() {
         .config("k", k)
         .config("threads", threads)
         .config("reps", reps)
-        .config("llc_bytes", cache.llc_bytes);
+        .config("llc_bytes", cache.llc_bytes)
+        .config("compressed_rows", compressed_cfg.nrows)
+        .config("compressed_k", compressed_cfg.k);
     for r in &rows_out {
         report.result(
             spk_obs::Row::new()

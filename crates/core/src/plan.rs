@@ -325,7 +325,8 @@ impl<T: Element, O: Monoid<Value = T>> SpkAddPlan<T, O> {
 
     /// Sortedness: detect (or trust) once per execution, failing fast for
     /// algorithms that require sorted inputs. Reads the fused sweep's
-    /// `verdicts` when there are any; otherwise scans each operand.
+    /// `verdicts` when there are any; otherwise scans each operand, inside
+    /// a `spkadd.validate` span so traces name the serial scan.
     fn detect_sorted(
         &self,
         mats: &[&CscMatrix<T>],
@@ -334,6 +335,9 @@ impl<T: Element, O: Monoid<Value = T>> SpkAddPlan<T, O> {
         if !self.opts.validate_sorted {
             return Ok(true);
         }
+        let _span = verdicts
+            .is_none()
+            .then(|| spk_obs::span!("spkadd.validate"));
         let mut all_sorted = true;
         for (i, m) in mats.iter().enumerate() {
             if !verdicts.map_or_else(|| m.is_sorted(), |v| v[i]) {

@@ -12,7 +12,9 @@
 //! sorted (the paper's method). For unsorted inputs — which plain hash
 //! accepts and sliding hash should too — a single bucketing pass scatters
 //! entries into per-part scratch buffers instead, preserving the O(nnz)
-//! per-column cost.
+//! per-column cost. Sortedness may be an unchecked caller promise
+//! (`validate_sorted: false`), so `search_panels` confirms it column by
+//! column before binary search is trusted.
 
 use crate::hashtab::{HashAccumulator, SymbolicHashTable};
 use crate::kernels::{hash_add_column, hash_symbolic_column};
@@ -80,6 +82,18 @@ impl<T: Element> SlidingScratch<T> {
     }
 }
 
+/// Whether binary search may carve row panels out of `cols`: the inputs
+/// are said to be sorted (`inputs_sorted`) and every column here is. On an
+/// unsorted column binary search returns slices that drop entries,
+/// repeat them, or hold rows outside the panel, so a broken promise
+/// would give a wrong sum or an out-of-range panel index. The check is
+/// one streaming compare over the row indices; columns that fail it are
+/// bucketed, which is correct for any order.
+#[inline]
+pub(crate) fn search_panels<T>(inputs_sorted: bool, cols: &[ColView<'_, T>]) -> bool {
+    inputs_sorted && cols.iter().all(|c| c.rows.is_sorted())
+}
+
 /// Panel boundary for part `i` of `parts` over `m` rows (Alg 7 line 9).
 #[inline]
 fn panel_bound(i: usize, parts: usize, m: usize) -> u32 {
@@ -89,7 +103,8 @@ fn panel_bound(i: usize, parts: usize, m: usize) -> u32 {
 /// Sliding-hash symbolic phase for one column (Algorithm 7): counts
 /// `nnz(B(:,j))` using tables of at most `budget` entries.
 ///
-/// `inputs_sorted` selects binary-search panelling (paper) vs bucketing.
+/// `inputs_sorted` selects binary-search panelling (paper) vs bucketing
+/// (see `search_panels`).
 #[allow(clippy::too_many_arguments)]
 pub fn sliding_symbolic_column<T: Element, M: MemModel>(
     cols: &[ColView<'_, T>],
@@ -107,7 +122,7 @@ pub fn sliding_symbolic_column<T: Element, M: MemModel>(
         return hash_symbolic_column(cols, ht, mem);
     }
     let mut nz = 0usize;
-    if inputs_sorted {
+    if search_panels(inputs_sorted, cols) {
         let mut sub: Vec<ColView<'_, T>> = Vec::with_capacity(cols.len());
         for i in 0..parts {
             let r1 = panel_bound(i, parts, m);
@@ -173,7 +188,7 @@ pub fn sliding_add_column<T: Element, O: Monoid<Value = T>, M: MemModel>(
         return hash_add_column(cols, ht, out_rows, out_vals, sorted, monoid, mem);
     }
     let mut written = 0usize;
-    if inputs_sorted {
+    if search_panels(inputs_sorted, cols) {
         let mut sub: Vec<ColView<'_, T>> = Vec::with_capacity(cols.len());
         for i in 0..parts {
             let r1 = panel_bound(i, parts, m);

@@ -181,8 +181,9 @@ impl<T: Element> Spa<T> {
 /// row space is swept in `⌈m / budget_rows⌉` panels, each using the same
 /// cache-resident SPA segment with indices rebased to the panel. Requires
 /// `spa.num_rows() ≥ min(m, budget_rows)`. Sorted inputs use binary-search
-/// panelling; unsorted inputs use the shared bucketing scratch. Duplicate
-/// rows fold with `monoid`.
+/// panelling; unsorted inputs, including columns that break an unchecked
+/// sortedness promise (`sliding::search_panels`), use the shared
+/// bucketing scratch. Duplicate rows fold with `monoid`.
 #[allow(clippy::too_many_arguments)]
 pub fn sliding_spa_add_column<T: Element, O: Monoid<Value = T>, M: MemModel>(
     cols: &[ColView<'_, T>],
@@ -211,7 +212,7 @@ pub fn sliding_spa_add_column<T: Element, O: Monoid<Value = T>, M: MemModel>(
     }
     debug_assert!(spa.num_rows() >= budget_rows);
     let mut written = 0usize;
-    if inputs_sorted {
+    if crate::sliding::search_panels(inputs_sorted, cols) {
         for p in 0..parts {
             let r1 = ((p as u64 * m as u64) / parts as u64) as u32;
             let r2 = (((p + 1) as u64 * m as u64) / parts as u64) as u32;

@@ -17,7 +17,9 @@
 //! and compression ratio for free, and the adaptive driver
 //! ([`Algorithm::Auto`] on a plan with `adaptive` enabled) scores each
 //! chunk independently instead of committing the whole collection to one
-//! kernel.
+//! kernel. Besides Fig 2's corners it knows one measured one: a chunk
+//! that folds many inputs into each output entry (SpGEMM intermediates,
+//! [`SPA_MIN_COMPRESSION`]) goes to the SPA while its panels fit the LLC.
 
 use crate::hashtab::table_size_for;
 use crate::kway::NumericKernel;
@@ -143,6 +145,18 @@ pub fn choose_algorithm(
 /// and beats hashing (Fig 2's dense corner, where SPA and hash converge).
 pub const SPA_DENSE_FRACTION: usize = 8;
 
+/// A chunk counts as "compressed" when it folds at least this many input
+/// entries into each output entry (`nnz_in ≥ SPA_MIN_COMPRESSION ·
+/// nnz_out`, the compression factor of Azad et al.). The SPA then makes
+/// one direct store per input where the hash table pays a multiply, a
+/// probe chain and a branch, and its O(rows) panel is paid for many times
+/// over — as long as the workers' panels fit the LLC. Measured with
+/// `protein_collection` intermediates on 2 workers (DESIGN.md, "The
+/// scorer"): at 2¹⁷ rows the SPA wins from a compression of 1.5 up, at
+/// 2²⁰ rows it loses up to 8 and ties at 12; 16 is the lowest threshold
+/// with no measured loss.
+pub const SPA_MIN_COMPRESSION: usize = 16;
+
 /// Shape summary of one weight-balanced column chunk, computed from data
 /// the symbolic phase already produced: the output `colptr` gives
 /// `nnz_out` and the input `colptr`s give `nnz_in` / `k_eff` in O(k) per
@@ -208,11 +222,15 @@ impl ChunkScorer {
     ///    near-disjoint narrow merges (`k_eff ≤ 4` with < 25% duplicate
     ///    compression): the O(k)-state streaming merge needs no table at
     ///    all, and with few inputs its `lg k` factor is ~1.
-    /// 2. **SPA / SlidingSpa** for dense chunks (average output column ≥
+    /// 2. **SPA** for compressed chunks (`nnz_in ≥`
+    ///    [`SPA_MIN_COMPRESSION`] `· nnz_out`) whose workers' panels
+    ///    (`rows · entry_bytes · threads`) fit the LLC: each input entry
+    ///    is one direct store into a cache-resident panel.
+    /// 3. **SPA / SlidingSpa** for dense chunks (average output column ≥
     ///    `rows` / [`SPA_DENSE_FRACTION`]): the dense-panel sweep is
     ///    branch-free at that fill; it slides when the aggregate panels
     ///    outgrow the LLC.
-    /// 3. **Hash / SlidingHash** otherwise — exactly Fig 2, with the
+    /// 4. **Hash / SlidingHash** otherwise — exactly Fig 2, with the
     ///    chunk's local average column size in place of the global one.
     pub fn choose(&self, p: &ChunkProfile) -> NumericKernel {
         if p.nnz_out == 0 || p.cols == 0 {
@@ -226,11 +244,16 @@ impl ChunkScorer {
         }
         let avg_out = p.avg_out_col_nnz();
         let threads = self.threads.max(1);
+        let panel_bytes = self
+            .rows
+            .saturating_mul(self.entry_bytes)
+            .saturating_mul(threads);
+        if p.nnz_in >= p.nnz_out.saturating_mul(SPA_MIN_COMPRESSION)
+            && panel_bytes <= self.llc_bytes
+        {
+            return NumericKernel::Spa;
+        }
         if avg_out.saturating_mul(SPA_DENSE_FRACTION) >= self.rows && self.rows > 0 {
-            let panel_bytes = self
-                .rows
-                .saturating_mul(self.entry_bytes)
-                .saturating_mul(threads);
             return if panel_bytes > self.llc_bytes {
                 NumericKernel::SlidingSpa
             } else {
@@ -329,6 +352,32 @@ mod tests {
         assert_eq!(
             tiny.choose(&profile(8, 8, 8192, 4096)),
             NumericKernel::SlidingSpa
+        );
+    }
+
+    #[test]
+    fn chunk_scorer_compressed_chunks_pick_the_spa() {
+        // Sparse chunk (8 output entries per column of 2¹⁷ rows) whose
+        // panels fit: 2¹⁷ rows · 12 B · 4 threads = 6 MB ≤ 32 MB.
+        let s = scorer(1 << 17, 32 << 20, true);
+        let out = 64 * 8;
+        let compressed = profile(64, 8, out * SPA_MIN_COMPRESSION, out);
+        assert_eq!(s.choose(&compressed), NumericKernel::Spa);
+        // The same shape at a compression of about 1 stays on hash.
+        assert_eq!(s.choose(&profile(64, 8, out + 1, out)), NumericKernel::Hash);
+        // Just below the threshold is still hash.
+        assert_eq!(
+            s.choose(&profile(64, 8, out * SPA_MIN_COMPRESSION - 1, out)),
+            NumericKernel::Hash
+        );
+        // Panels that outgrow the LLC (6 MB > 4 MB) keep it off the SPA.
+        let small_llc = scorer(1 << 17, 4 << 20, true);
+        assert_eq!(small_llc.choose(&compressed), NumericKernel::Hash);
+        // An effectively pairwise chunk is still the heap's, however
+        // compressed.
+        assert_eq!(
+            s.choose(&profile(64, 2, out * SPA_MIN_COMPRESSION, out)),
+            NumericKernel::Heap
         );
     }
 

@@ -11,8 +11,9 @@
 //! fold, so the all-nine pins use integer-valued data where every
 //! association is exact.
 
-use spk_gen::{generate_collection, Pattern};
+use spk_gen::{generate_collection, protein_collection, Pattern, ProteinConfig};
 use spk_sparse::CscMatrix;
+use spkadd::tuning::SPA_MIN_COMPRESSION;
 use spkadd::{
     Algorithm, CacheConfig, Min, Monoid, NumericKernel, Options, Or, PatternOutcome, Plus,
     SaturatingCount, SpkAdd, ThresholdedPlus,
@@ -309,6 +310,59 @@ fn skewed_rmat_collection_mixes_kernels_under_auto() {
             .execute(&refs)
             .unwrap();
         assert_bits_equal(&out, &forced, &format!("skewed adaptive vs {alg}"));
+    }
+}
+
+/// SpGEMM-style intermediates: every output entry absorbs dozens of
+/// inputs, far above [`SPA_MIN_COMPRESSION`], while the output columns
+/// stay sparse (no dense corner). The scorer's compressed corner sends
+/// the chunks to the SPA, and the mix is invisible in the output.
+#[test]
+fn compressed_intermediates_go_to_the_spa_under_auto() {
+    let mats = protein_collection(
+        &ProteinConfig {
+            nrows: 4096,
+            ncols: 64,
+            d: 16,
+            k: 64,
+            cf: 40.0,
+            skew: 0.6,
+        },
+        0xC0FFEE,
+    );
+    let refs: Vec<&CscMatrix<f64>> = mats.iter().collect();
+    let (rows, cols) = refs[0].shape();
+    let mut plan = SpkAdd::new(rows, cols)
+        .algorithm(Algorithm::Auto)
+        .threads(4)
+        // Pinned so the panels (4096 rows · 12 B · 4 workers) fit.
+        .cache(CacheConfig {
+            llc_bytes: 32 << 20,
+            l1_bytes: 32 << 10,
+        })
+        .build::<f64>()
+        .unwrap();
+    let (out, stats) = run_timed(&mut plan, &refs);
+    let nnz_in: usize = mats.iter().map(|m| m.nnz()).sum();
+    assert!(
+        nnz_in >= SPA_MIN_COMPRESSION * out.nnz(),
+        "the collection must sit above the threshold: {nnz_in} in, {} out",
+        out.nnz()
+    );
+    assert!(
+        stats.kernel_counts.get(NumericKernel::Spa) > 0,
+        "compressed chunks must go to the SPA, got {}",
+        stats.kernel_counts
+    );
+    for alg in KWAY_ALGORITHMS {
+        let forced = SpkAdd::new(rows, cols)
+            .algorithm(alg)
+            .threads(4)
+            .build::<f64>()
+            .unwrap()
+            .execute(&refs)
+            .unwrap();
+        assert_bits_equal(&out, &forced, &format!("compressed adaptive vs {alg}"));
     }
 }
 

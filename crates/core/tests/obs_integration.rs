@@ -71,6 +71,9 @@ fn execute_emits_phase_spans_and_kernel_events() {
     let execute = spans.iter().find(|s| s.name == "spkadd.execute").unwrap();
     assert_eq!(execute.depth, 0);
     assert_eq!(numeric.depth, 1);
+    // Without a pattern cache the sortedness scan is serial and named.
+    let validate = spans.iter().find(|s| s.name == "spkadd.validate");
+    assert_eq!(validate.map(|s| s.depth), Some(1), "got {n:?}");
 }
 
 #[test]
