@@ -18,8 +18,9 @@
 //!   beat the collection-level hash choice.
 //!
 //! Modes per workload: `adaptive` (Auto, per-chunk scoring), `pinned`
-//! (Auto with `adaptive: false` — one collection-level choice), and the
-//! five forced k-way kernels. The summary reports adaptive vs the best
+//! (the algorithm `choose_algorithm` picks for the whole collection,
+//! forced — Fig 2's collection-level choice), and the five forced k-way
+//! kernels. The summary reports adaptive vs the best
 //! forced/pinned time and the kernel histogram the adaptive run
 //! produced; on the skewed workload the histogram must name ≥ 2
 //! kernels, on the compressed one it must name the SPA. `--rows` sizes
@@ -37,7 +38,10 @@ use spk_bench::{print_table, refs, Args};
 use spk_gen::{generate_collection, protein_collection, Pattern, ProteinConfig};
 use spk_obs::{Json, RunReport};
 use spk_sparse::CscMatrix;
-use spkadd::{Algorithm, CacheConfig, KernelCounts, NumericKernel, Options, SpkAdd};
+use spkadd::{
+    choose_algorithm, numeric_entry_bytes, Algorithm, CacheConfig, KernelCounts, NumericKernel,
+    SpkAdd,
+};
 
 struct Row {
     workload: &'static str,
@@ -149,33 +153,45 @@ fn main() {
             mrefs.len()
         );
 
-        // (mode label, algorithm, adaptive?)
-        let modes: Vec<(String, Algorithm, bool)> =
-            std::iter::once(("adaptive".into(), Algorithm::Auto, true))
-                .chain(std::iter::once(("pinned".into(), Algorithm::Auto, false)))
-                .chain(
-                    [
-                        Algorithm::Hash,
-                        Algorithm::SlidingHash,
-                        Algorithm::Spa,
-                        Algorithm::SlidingSpa,
-                        Algorithm::Heap,
-                    ]
-                    .into_iter()
-                    .map(|alg| (format!("forced-{alg}"), alg, true)),
-                )
-                .collect();
+        // The collection-level pick `Auto` resolves before it scores
+        // chunks, with the plan's resolved worker count.
+        let workers = if threads == 0 {
+            rayon::current_num_threads()
+        } else {
+            threads
+        };
+        let pinned = choose_algorithm(
+            mrefs.len(),
+            total_nnz / ncols.max(1),
+            numeric_entry_bytes::<f64>(),
+            workers,
+            &cache,
+        );
+        // (mode label, algorithm)
+        let modes: Vec<(String, Algorithm)> = [
+            ("adaptive".to_string(), Algorithm::Auto),
+            ("pinned".to_string(), pinned),
+        ]
+        .into_iter()
+        .chain(
+            [
+                Algorithm::Hash,
+                Algorithm::SlidingHash,
+                Algorithm::Spa,
+                Algorithm::SlidingSpa,
+                Algorithm::Heap,
+            ]
+            .into_iter()
+            .map(|alg| (format!("forced-{alg}"), alg)),
+        )
+        .collect();
 
         let mut adaptive_secs = f64::INFINITY;
         let mut adaptive_counts = KernelCounts::default();
         let mut best_global = ("-".to_string(), f64::INFINITY);
-        for (mode, alg, adaptive) in modes {
+        for (mode, alg) in modes {
             let mut plan = SpkAdd::new(nrows, ncols)
                 .algorithm(alg)
-                .options(Options {
-                    adaptive,
-                    ..Options::default()
-                })
                 .threads(threads)
                 .cache(cache)
                 .build::<f64>()

@@ -163,7 +163,6 @@ fn main() {
             .count();
         let profile = ChunkProfile {
             cols: hi - lo,
-            k: mats.len(),
             k_eff,
             nnz_in,
             nnz_out: out_colptr[hi] - out_colptr[lo],

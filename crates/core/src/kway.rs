@@ -23,7 +23,7 @@ use crate::mem::TaskModels;
 use crate::monoid::Monoid;
 use crate::parallel::{
     claimed_map, exclusive_prefix_sum, exclusive_prefix_sum_into, plan_ranges, split_output,
-    OutChunk, Scheduling,
+    split_per_range, OutChunk, Scheduling,
 };
 use crate::pattern::{digest_one, structures, Digest, Pattern, ScatterMap, Structure};
 use crate::sliding::sliding_add_column;
@@ -225,10 +225,9 @@ impl std::fmt::Display for KernelCounts {
 /// How the numeric driver assigns kernels to chunks.
 #[derive(Debug, Clone)]
 pub(crate) enum KernelDispatch {
-    /// Every chunk runs one kernel — a forced algorithm, or `Auto` with
-    /// adaptivity disabled.
+    /// Every chunk runs one kernel: the forced algorithm's.
     Fixed(NumericKernel),
-    /// Score each chunk's profile and pick per chunk (`Auto`, adaptive).
+    /// Score each chunk's profile and pick per chunk (`Auto`).
     Adaptive(ChunkScorer),
     /// A pattern-cache hit replays the decisions memoized alongside the
     /// structure (same pattern ⇒ same counts ⇒ same chunking ⇒ the same
@@ -260,7 +259,6 @@ pub(crate) fn chunk_profile<T: Element>(
     }
     ChunkProfile {
         cols: range.len(),
-        k: mats.len(),
         k_eff,
         nnz_in,
         nnz_out,
@@ -375,15 +373,7 @@ pub(crate) fn kway_numeric<T: Element, O: Monoid<Value = T>>(
 
     // Per-task actual counts (differ from `counts` when inexact).
     let mut actual = vec![0usize; n];
-    let mut actual_parts: Vec<&mut [usize]> = Vec::with_capacity(ranges.len());
-    {
-        let mut rest = actual.as_mut_slice();
-        for r in &ranges {
-            let (head, tail) = rest.split_at_mut(r.len());
-            actual_parts.push(head);
-            rest = tail;
-        }
-    }
+    let actual_parts = split_per_range(&mut actual, &ranges);
 
     chunks
         .into_par_iter()
@@ -393,9 +383,9 @@ pub(crate) fn kway_numeric<T: Element, O: Monoid<Value = T>>(
             models.lend(|mem| {
                 let mut views: Vec<ColView<'_, T>> = Vec::with_capacity(k);
                 // Thread-private workspaces (§III-A): one per worker, reused
-                // across all chunks that worker steals — and across plan
-                // executions, because the pool outlives this call. Under
-                // adaptive dispatch one worker may serve several kernel
+                // across all chunks in that worker's share — and across
+                // plan executions, because the pool outlives this call.
+                // Under `Auto` one worker may serve several kernel
                 // families; the pool's components are lazy, so only the
                 // families actually dispatched get built.
                 let mut ws = pool.for_current_thread();

@@ -281,13 +281,6 @@ pub struct Options {
     /// Check input sortedness up front and fail fast for algorithms that
     /// require it. Disable only when the caller guarantees sortedness.
     pub validate_sorted: bool,
-    /// Whether [`Algorithm::Auto`] dispatches kernels *per column chunk*
-    /// (scoring each weight-balanced partition with [`ChunkScorer`])
-    /// instead of resolving one global algorithm per execution. On by
-    /// default; turn it off to force the old global Fig 2 resolution,
-    /// e.g. for A/B runs. Ignored for explicit
-    /// (non-`Auto`) algorithm choices.
-    pub adaptive: bool,
     /// Capacity of the plan's pattern cache (LRU over collection
     /// structure fingerprints); `0` disables caching. When a collection
     /// with previously-seen sparsity is executed, the symbolic phase is
@@ -307,7 +300,6 @@ impl Default for Options {
             cache: CacheConfig::detect(),
             forced_table_entries: None,
             validate_sorted: true,
-            adaptive: true,
             pattern_cache: 0,
         }
     }
@@ -406,11 +398,10 @@ pub struct ExecuteStats {
     pub pattern: PatternOutcome,
     /// Per-chunk kernel histogram of the k-way numeric phase: how many
     /// weight-balanced column chunks each [`NumericKernel`] materialized.
-    /// A forced algorithm (or `Auto` with [`Options::adaptive`] off)
-    /// reports a single-kernel histogram; the 2-way/library folds report
-    /// an empty one. On a pattern-cache hit no column kernel runs — the
-    /// cached scatter map places every value — and the histogram is the
-    /// cold run's decisions, replayed.
+    /// A forced algorithm reports a single-kernel histogram; the
+    /// 2-way/library folds report an empty one. On a pattern-cache hit no
+    /// column kernel runs — the cached scatter map places every value —
+    /// and the histogram is the cold run's decisions, replayed.
     pub kernel_counts: KernelCounts,
 }
 

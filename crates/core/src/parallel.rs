@@ -21,12 +21,16 @@ pub enum Scheduling {
     /// Equal *column counts* per task, one task per thread. This is the
     /// baseline the paper's §III-A warns about for skewed matrices.
     Static,
-    /// Weight-balanced ranges, `chunks_per_thread` tasks per thread,
-    /// executed under rayon work stealing — the paper's dynamic policy.
+    /// Weight-balanced ranges, `chunks_per_thread` tasks per thread — the
+    /// paper's dynamic policy. There is no work stealing: the rayon shim
+    /// hands each worker one contiguous share of the ranges, so the
+    /// weights even out the work but a late or preempted worker still
+    /// delays the phase. A plan's zero-allocation steady state relies on
+    /// that fixed split (see [`crate::workspace::WorkspacePool`]).
     Dynamic {
         /// Over-decomposition factor (tasks per thread). 8 is a good
-        /// default: fine enough to steal, coarse enough to amortize
-        /// workspace setup.
+        /// default: fine enough to balance skewed weights, coarse enough
+        /// to amortize workspace setup.
         chunks_per_thread: usize,
     },
 }
@@ -129,6 +133,25 @@ pub fn exclusive_prefix_sum_into(counts: &[usize], out: &mut Vec<usize>) {
         acc += c;
         out.push(acc);
     }
+}
+
+/// Splits a per-column slice into one window per range: window `i` is
+/// `slice[ranges[i]]`. The ranges must tile `0..slice.len()` in order, as
+/// [`plan_ranges`] produces them; each task then writes its own columns'
+/// counts with no synchronization. Not generic, so it compiles once, here
+/// (see `claim_each`).
+pub fn split_per_range<'a>(
+    mut slice: &'a mut [usize],
+    ranges: &[Range<usize>],
+) -> Vec<&'a mut [usize]> {
+    let mut out = Vec::with_capacity(ranges.len());
+    for r in ranges {
+        let (head, tail) = slice.split_at_mut(r.len());
+        out.push(head);
+        slice = tail;
+    }
+    debug_assert!(slice.is_empty(), "ranges must tile the slice");
+    out
 }
 
 /// A task's mutable window into the output arrays: the columns `cols`,
@@ -303,6 +326,26 @@ mod tests {
         assert_eq!(chunks[0].rows.len(), 2);
         assert_eq!(chunks[1].base, 2);
         assert_eq!(chunks[1].rows.len(), 4);
+    }
+
+    #[test]
+    fn split_per_range_windows_tile_the_slice() {
+        let mut counts: Vec<usize> = (0..7).collect();
+        let ranges = vec![0..2, 2..2, 2..6, 6..6, 6..7];
+        let windows = split_per_range(&mut counts, &ranges);
+        assert_eq!(windows.len(), ranges.len(), "one window per range");
+        for (w, r) in windows.iter().zip(&ranges) {
+            assert_eq!(w.len(), r.len());
+            assert_eq!(w.first().copied(), (!r.is_empty()).then_some(r.start));
+        }
+        // The windows are the slice itself: writes land in place.
+        for w in windows {
+            for c in w.iter_mut() {
+                *c *= 10;
+            }
+        }
+        assert_eq!(counts, vec![0, 10, 20, 30, 40, 50, 60]);
+        assert!(split_per_range(&mut [], &equal_ranges(0, 4))[0].is_empty());
     }
 
     #[test]

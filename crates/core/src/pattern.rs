@@ -255,8 +255,8 @@ pub(crate) struct Pattern {
     /// Identical structure ⇒ identical symbolic counts ⇒ identical
     /// chunking ⇒ identical scores, so an adaptive warm hit replays
     /// these (and reports them in `ExecuteStats::kernel_counts`) instead
-    /// of rescoring. Empty for non-adaptive insertions — the dispatch
-    /// ignores it then.
+    /// of rescoring. A forced algorithm's hits ignore them: its dispatch
+    /// is fixed.
     pub(crate) kernels: Arc<Vec<NumericKernel>>,
     /// Built by the first hit, evicted with the entry.
     scatter: OnceLock<ScatterMap>,

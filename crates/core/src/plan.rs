@@ -485,9 +485,8 @@ impl<T: Element, O: Monoid<Value = T>> SpkAddPlan<T, O> {
             llc_bytes: self.opts.cache.llc_bytes,
             heap_allowed: self.opts.validate_sorted && inputs_sorted,
         };
-        let adaptive = self.algorithm == Algorithm::Auto && self.opts.adaptive;
         let dispatch = kernel.map(|kern| {
-            if !adaptive {
+            if self.algorithm != Algorithm::Auto {
                 return KernelDispatch::Fixed(kern);
             }
             match hit.as_ref() {

@@ -10,7 +10,7 @@
 
 use crate::kernels::{hash_symbolic_column, heap_symbolic_column, spa_symbolic_column};
 use crate::mem::TaskModels;
-use crate::parallel::{plan_ranges, Scheduling};
+use crate::parallel::{plan_ranges, split_per_range, Scheduling};
 use crate::sliding::sliding_symbolic_column;
 use crate::workspace::WorkspacePool;
 use rayon::prelude::*;
@@ -89,16 +89,8 @@ pub(crate) fn symbolic_counts<T: Element>(
     }
     let ranges = plan_ranges(&weights, 0, ctx.sched);
     let mut counts = vec![0usize; n];
-    let mut tasks: Vec<(std::ops::Range<usize>, &mut [usize])> = Vec::new();
-    {
-        let mut rest = counts.as_mut_slice();
-        for r in &ranges {
-            let (head, tail) = rest.split_at_mut(r.len());
-            tasks.push((r.clone(), head));
-            rest = tail;
-        }
-    }
-
+    let windows = split_per_range(&mut counts, &ranges);
+    let tasks: Vec<_> = ranges.iter().cloned().zip(windows).collect();
     tasks.into_par_iter().for_each(|(cols_range, out)| {
         models.lend(|mem| {
             let mut views: Vec<ColView<'_, T>> = Vec::with_capacity(k);

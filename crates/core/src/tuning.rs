@@ -14,10 +14,12 @@
 //! [`ChunkScorer`] re-derives that surface at *partition* granularity:
 //! once the symbolic phase has fixed the output `colptr`, every
 //! weight-balanced column chunk carries its local density, effective k,
-//! and compression ratio for free, and the adaptive driver
-//! ([`Algorithm::Auto`] on a plan with `adaptive` enabled) scores each
+//! and compression ratio for free, and [`Algorithm::Auto`] scores each
 //! chunk independently instead of committing the whole collection to one
-//! kernel. Besides Fig 2's corners it knows one measured one: a chunk
+//! kernel. `choose_algorithm` still picks Auto's family (a k ≤ 2
+//! collection stays one pairwise merge) and its symbolic strategy; a
+//! caller who wants Fig 2's collection-level kernel forces the algorithm
+//! it returns. Besides Fig 2's corners it knows one measured one: a chunk
 //! that folds many inputs into each output entry (SpGEMM intermediates,
 //! [`SPA_MIN_COMPRESSION`]) goes to the SPA while its panels fit the LLC.
 
@@ -166,8 +168,6 @@ pub const SPA_MIN_COMPRESSION: usize = 16;
 pub struct ChunkProfile {
     /// Columns in the chunk.
     pub cols: usize,
-    /// Collection size (matrices in the addition).
-    pub k: usize,
     /// Matrices with at least one nonzero inside the chunk's column
     /// range — the k that the merge actually sees.
     pub k_eff: usize,
@@ -309,7 +309,6 @@ mod tests {
     fn profile(cols: usize, k_eff: usize, nnz_in: usize, nnz_out: usize) -> ChunkProfile {
         ChunkProfile {
             cols,
-            k: 8,
             k_eff,
             nnz_in,
             nnz_out,

@@ -22,7 +22,9 @@
 
 use crate::mem::{MemModel, NullModel, TaskModels};
 use crate::monoid::Monoid;
-use crate::parallel::{exclusive_prefix_sum, plan_ranges, split_output, Scheduling};
+use crate::parallel::{
+    exclusive_prefix_sum, plan_ranges, split_output, split_per_range, Scheduling,
+};
 use rayon::prelude::*;
 use spk_sparse::{ColView, CscMatrix, Element};
 
@@ -162,22 +164,15 @@ fn merge_pair<T: Element, O: Monoid<Value = T>>(
     // Pass 1: per-column output sizes (exact unless the monoid filters,
     // in which case they are upper bounds).
     let mut counts = vec![0usize; n];
-    {
-        let mut parts: Vec<(std::ops::Range<usize>, &mut [usize])> = Vec::new();
-        let mut rest = counts.as_mut_slice();
-        for r in &ranges {
-            let (head, tail) = rest.split_at_mut(r.len());
-            parts.push((r.clone(), head));
-            rest = tail;
-        }
-        parts.into_par_iter().for_each(|(cols, out)| {
-            models.lend(|mem| {
-                for (slot, j) in cols.into_iter().enumerate() {
-                    out[slot] = col_merge_count(a.col(j), b.col(j), mem);
-                }
-            })
-        });
-    }
+    let windows = split_per_range(&mut counts, &ranges);
+    let tasks: Vec<_> = ranges.iter().cloned().zip(windows).collect();
+    tasks.into_par_iter().for_each(|(cols, out)| {
+        models.lend(|mem| {
+            for (slot, j) in cols.into_iter().enumerate() {
+                out[slot] = col_merge_count(a.col(j), b.col(j), mem);
+            }
+        })
+    });
     let colptr = exclusive_prefix_sum(&counts);
     let nnz = *colptr.last().unwrap();
     let mut rowidx = vec![0u32; nnz];
@@ -186,13 +181,7 @@ fn merge_pair<T: Element, O: Monoid<Value = T>>(
     // Pass 2: merge into disjoint windows, recording actual sizes.
     let mut actual = vec![0usize; n];
     {
-        let mut actual_parts: Vec<&mut [usize]> = Vec::new();
-        let mut rest = actual.as_mut_slice();
-        for r in &ranges {
-            let (head, tail) = rest.split_at_mut(r.len());
-            actual_parts.push(head);
-            rest = tail;
-        }
+        let actual_parts = split_per_range(&mut actual, &ranges);
         let chunks = split_output(&colptr, &ranges, &mut rowidx, &mut values);
         chunks
             .into_par_iter()
@@ -253,9 +242,10 @@ pub(crate) fn spkadd_incremental<T: Element, O: Monoid<Value = T>>(
 /// SpKAdd by 2-way *tree* additions: inputs at the leaves of a balanced
 /// binary tree, `⌈lg k⌉` levels, every level touching Σ nnz once.
 ///
-/// Pairs within a level are independent and run in parallel on top of the
-/// column-parallel `add_pair`; rayon's work stealing composes the two
-/// levels of parallelism.
+/// Pairs within a level run in parallel: the rayon shim gives each worker
+/// one contiguous share of the pairs and runs the column-parallel merge
+/// of each pair inline on that worker. A level with a single pair runs on
+/// the caller, so its merge is column-parallel.
 pub(crate) fn spkadd_tree<T: Element, O: Monoid<Value = T>>(
     mats: &[&CscMatrix<T>],
     threads: usize,

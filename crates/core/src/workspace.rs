@@ -17,10 +17,10 @@
 //! exactly as the old driver-local pools did (§III-A: thread-private
 //! accumulators, shared nothing).
 //!
-//! Under adaptive dispatch (`Algorithm::Auto` with per-chunk scoring) a
-//! single execution may exercise **several kernel families** from the
-//! same pool: a worker that draws a SPA chunk and then a hash chunk
-//! lazily materializes both components in its one workspace. That is by
+//! Under `Algorithm::Auto`'s per-chunk kernel dispatch a single execution
+//! may exercise **several kernel families** from the same pool: a worker
+//! that draws a SPA chunk and then a hash chunk lazily materializes both
+//! components in its one workspace. That is by
 //! design — the components are independent fields, so mixing kernels
 //! costs each family's one-time build and nothing more, and a steady
 //! shape still reaches the zero-allocation regime even when every
@@ -146,9 +146,14 @@ impl<T: Element> Workspace<T> {
 
 /// One [`Workspace`] per worker thread, shared with the parallel drivers.
 ///
-/// Slots are locked by rayon worker index; with one task in flight per
-/// worker the locks are uncontended (they exist so the borrow checker
-/// and the work-stealing scheduler agree the state is exclusive).
+/// Slots are locked by rayon worker index. The rayon shim does no work
+/// stealing: it gives each worker one contiguous share of a region's
+/// tasks and runs nested regions inline on it, so a slot is only ever
+/// locked by its own worker and the locks are uncontended (they exist so
+/// the borrow checker agrees the state is exclusive). The zero-allocation
+/// steady state relies on that fixed split: re-executed at a steady
+/// shape, a plan hands each worker the same chunks as before, so every
+/// component it needs is already built at the size it needs.
 #[derive(Debug, Default)]
 pub struct WorkspacePool<T> {
     slots: Vec<Mutex<Workspace<T>>>,

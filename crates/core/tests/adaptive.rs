@@ -1,8 +1,8 @@
 //! Adaptive per-partition kernel selection, end to end.
 //!
-//! The contract under test: `Algorithm::Auto` with adaptivity enabled
-//! re-scores every weight-balanced column chunk and may dispatch a
-//! different numeric kernel per chunk, yet the result must be
+//! The contract under test: `Algorithm::Auto` re-scores every
+//! weight-balanced column chunk and may dispatch a different numeric
+//! kernel per chunk, yet the result must be
 //! **bit-for-bit identical** to every forced single-kernel execution —
 //! all five k-way kernels fold duplicates left-to-right in matrix
 //! order, so the chunk-level choice is observable only through
@@ -15,8 +15,8 @@ use spk_gen::{generate_collection, protein_collection, Pattern, ProteinConfig};
 use spk_sparse::CscMatrix;
 use spkadd::tuning::SPA_MIN_COMPRESSION;
 use spkadd::{
-    Algorithm, CacheConfig, Min, Monoid, NumericKernel, Options, Or, PatternOutcome, Plus,
-    SaturatingCount, SpkAdd, ThresholdedPlus,
+    choose_algorithm, numeric_entry_bytes, Algorithm, CacheConfig, Min, Monoid, NumericKernel, Or,
+    PatternOutcome, Plus, SaturatingCount, SpkAdd, ThresholdedPlus,
 };
 
 mod common;
@@ -202,33 +202,40 @@ fn adaptive_is_bitwise_equal_to_forced_kway_kernels_on_adversarial_floats() {
 }
 
 #[test]
-fn no_adaptive_escape_hatch_pins_the_collection_level_choice() {
+fn forcing_the_collection_level_choice_runs_one_kernel_and_matches_auto() {
     let mats = collection(Pattern::Rmat, 21);
     let refs: Vec<&CscMatrix<f64>> = mats.iter().collect();
+    let total: usize = mats.iter().map(|m| m.nnz()).sum();
+    let cache = CacheConfig::detect();
+    // Fig 2's collection-level pick, as `Auto` resolves it.
+    let pick = choose_algorithm(K, total / N, numeric_entry_bytes::<f64>(), 3, &cache);
+    assert!(
+        KWAY_ALGORITHMS.contains(&pick),
+        "k = {K} resolves to a k-way kernel, got {pick}"
+    );
     let mut pinned = SpkAdd::new(M, N)
-        .algorithm(Algorithm::Auto)
-        .options(Options {
-            adaptive: false,
-            ..Options::default()
-        })
+        .algorithm(pick)
         .threads(3)
+        .cache(cache)
         .build::<f64>()
         .unwrap();
     let (out, stats) = run_timed(&mut pinned, &refs);
-    assert!(
-        stats.kernel_counts.distinct() <= 1,
-        "adaptive(false) must run one kernel everywhere, got {}",
+    assert_eq!(
+        stats.kernel_counts.distinct(),
+        1,
+        "forcing {pick} must run one kernel everywhere, got {}",
         stats.kernel_counts
     );
-    // The escape hatch changes dispatch, never the result.
+    // Pinning changes dispatch, never the result.
     let auto = SpkAdd::new(M, N)
         .algorithm(Algorithm::Auto)
         .threads(3)
+        .cache(cache)
         .build::<f64>()
         .unwrap()
         .execute(&refs)
         .unwrap();
-    assert_bits_equal(&out, &auto, "adaptive(false) vs adaptive(true)");
+    assert_bits_equal(&out, &auto, &format!("forced {pick} vs Auto"));
 }
 
 /// A deliberately skewed collection: a block of fully dense columns

@@ -10,9 +10,10 @@
 //!    union, tropical min, and the thresholded (filtering) plus are
 //!    each checked against a model built with plain loops.
 //!
-//! Filtering monoids are exercised through the k-way algorithms only:
-//! the 2-way/library tree drivers apply `keep` at every merge level,
-//! which is a semantically different (documented) reduction.
+//! Filtering monoids are exercised through the k-way algorithms, except
+//! on a single pair: the 2-way/library tree drivers apply `keep` at every
+//! merge level, which is a semantically different (documented) reduction
+//! once there is more than one level.
 
 use spk_gen::{generate_collection, Pattern};
 use spk_sparse::{CscMatrix, Element};
@@ -206,5 +207,30 @@ fn thresholded_plus_drops_cancelling_entries() {
         assert_eq!(out.nnz(), 3, "{alg:?}: cancelled entry must vanish");
         assert_eq!(out.col(0).rows, &[2], "{alg:?}");
         assert_eq!(out.col(1).rows, &[1, 3], "{alg:?}");
+    }
+}
+
+#[test]
+fn thresholded_plus_compacts_the_pairwise_folds() {
+    // On one pair every fold is a single merge, so per-level filtering is
+    // the global filter. The 2-way merge sizes its windows from a
+    // value-free count (an upper bound here) and must squeeze out the
+    // cancelled slot: compare the exact structure, not just the sum.
+    let a = CscMatrix::try_new(4, 2, vec![0, 2, 3], vec![0, 2, 1], vec![5.0, 1.0, 2.0]).unwrap();
+    let b = CscMatrix::try_new(4, 2, vec![0, 1, 2], vec![0, 3], vec![-5.0, 4.0]).unwrap();
+    let expect =
+        CscMatrix::try_new(4, 2, vec![0, 1, 3], vec![2, 1, 3], vec![1.0, 2.0, 4.0]).unwrap();
+    let monoid = ThresholdedPlus { eps: 0.5 };
+    let opts = Options::default();
+    for alg in [
+        Algorithm::TwoWayTree,
+        Algorithm::TwoWayIncremental,
+        Algorithm::LibTree,
+    ] {
+        let out = reduce(&[&a, &b], monoid, alg, &opts);
+        assert_eq!(
+            out, expect,
+            "{alg:?}: cancelled slot must be compacted away"
+        );
     }
 }

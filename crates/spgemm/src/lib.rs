@@ -7,29 +7,25 @@
 //! table — the same [`spkadd::hashtab`] accumulators the SpKAdd paper
 //! builds on, consumed here as a downstream system.
 //!
-//! Two properties matter for the paper's experiments:
-//!
-//! * **sorted vs unsorted output** — distributed SpGEMM only needs its
-//!   *intermediate* products sorted if the following reduction demands
-//!   sorted inputs. Because hash SpKAdd does not, the multiply can skip
-//!   its per-column sort; Fig 6 measures that as ~20% of multiply time.
-//!   [`SpgemmOptions::sorted_output`] switches the behaviour.
-//! * **k-way heap alternative** — [`spgemm_heap`] merges the scaled
-//!   columns of `A` with the SpKAdd k-way heap, the "heap SpGEMM" used as
-//!   the incumbent in CombBLAS; it requires sorted `A` columns and emits
-//!   sorted output by construction.
+//! One property matters for the paper's experiments: **sorted vs
+//! unsorted output**. Distributed SpGEMM only needs its *intermediate*
+//! products sorted if the following reduction demands sorted inputs.
+//! Because hash SpKAdd does not, the multiply can skip its per-column
+//! sort; Fig 6 measures that as ~20% of multiply time.
+//! [`SpgemmOptions::sorted_output`] switches the behaviour.
 
 // No unsafe anywhere in this crate (checked repo-wide by spk-lint's
 // safety-comment rule where unsafe *is* allowed).
 #![forbid(unsafe_code)]
 
 use rayon::prelude::*;
-use spk_sparse::{ColView, CscMatrix, Scalar, SparseError};
+use spk_sparse::{CscMatrix, Scalar, SparseError};
 use spkadd::hashtab::{HashAccumulator, SymbolicHashTable};
-use spkadd::heap::KwayHeap;
 use spkadd::mem::NullModel;
 use spkadd::monoid::Plus;
-use spkadd::parallel::{exclusive_prefix_sum, plan_ranges, split_output, Scheduling};
+use spkadd::parallel::{
+    exclusive_prefix_sum, plan_ranges, split_output, split_per_range, Scheduling,
+};
 
 /// Options for the local SpGEMM.
 #[derive(Debug, Clone)]
@@ -82,34 +78,27 @@ pub fn spgemm_hash<T: Scalar>(
 
         // Symbolic phase: exact output column sizes.
         let mut counts = vec![0usize; n];
-        {
-            let mut tasks: Vec<(std::ops::Range<usize>, &mut [usize])> = Vec::new();
-            let mut rest = counts.as_mut_slice();
-            for r in &ranges {
-                let (head, tail) = rest.split_at_mut(r.len());
-                tasks.push((r.clone(), head));
-                rest = tail;
-            }
-            tasks.into_par_iter().for_each(|(cols, out)| {
-                let mut ht = SymbolicHashTable::with_capacity(16);
-                let mut mem = NullModel;
-                for (slot, j) in cols.into_iter().enumerate() {
-                    // Distinct output rows are bounded by both the flop
-                    // count and the row dimension.
-                    ht.reserve_for(flops[j].min(a.nrows()));
-                    let mut nz = 0usize;
-                    for &l in b.col(j).rows {
-                        for &r in a.col(l as usize).rows {
-                            if ht.insert(r, &mut mem) {
-                                nz += 1;
-                            }
+        let windows = split_per_range(&mut counts, &ranges);
+        let tasks: Vec<_> = ranges.iter().cloned().zip(windows).collect();
+        tasks.into_par_iter().for_each(|(cols, out)| {
+            let mut ht = SymbolicHashTable::with_capacity(16);
+            let mut mem = NullModel;
+            for (slot, j) in cols.into_iter().enumerate() {
+                // Distinct output rows are bounded by both the flop
+                // count and the row dimension.
+                ht.reserve_for(flops[j].min(a.nrows()));
+                let mut nz = 0usize;
+                for &l in b.col(j).rows {
+                    for &r in a.col(l as usize).rows {
+                        if ht.insert(r, &mut mem) {
+                            nz += 1;
                         }
                     }
-                    ht.reset();
-                    out[slot] = nz;
                 }
-            });
-        }
+                ht.reset();
+                out[slot] = nz;
+            }
+        });
 
         let colptr = exclusive_prefix_sum(&counts);
         let nnz = *colptr.last().unwrap();
@@ -134,100 +123,6 @@ pub fn spgemm_hash<T: Scalar>(
                     &mut chunk.rows[lo..hi],
                     &mut chunk.vals[lo..hi],
                     opts.sorted_output,
-                    Plus::new(),
-                    &mut mem,
-                );
-                debug_assert_eq!(written, hi - lo);
-            }
-        });
-        CscMatrix::from_parts(a.nrows(), n, colptr, rowidx, values)
-    };
-    Ok(spkadd::parallel::run_with_threads(opts.threads, run))
-}
-
-/// Heap SpGEMM: `C(:,j) = Σ_l B(l,j)·A(:,l)` as a k-way merge of scaled
-/// sorted columns — the incumbent algorithm hash SpKAdd replaces in Fig 6.
-/// Requires sorted `A` columns; output is always sorted.
-pub fn spgemm_heap<T: Scalar>(
-    a: &CscMatrix<T>,
-    b: &CscMatrix<T>,
-    opts: &SpgemmOptions,
-) -> Result<CscMatrix<T>, SparseError> {
-    if a.ncols() != b.nrows() {
-        return Err(SparseError::ProductMismatch {
-            lhs_cols: a.ncols(),
-            rhs_rows: b.nrows(),
-        });
-    }
-    if !a.is_sorted() {
-        return Err(SparseError::InvalidStructure(
-            "heap SpGEMM requires sorted columns in the left operand".into(),
-        ));
-    }
-    let run = || {
-        let n = b.ncols();
-        let flops = flops_per_column(a, b);
-        let ranges = plan_ranges(&flops, 0, opts.scheduling);
-
-        // Symbolic via heap merge of the contributing patterns.
-        let mut counts = vec![0usize; n];
-        {
-            let mut tasks: Vec<(std::ops::Range<usize>, &mut [usize])> = Vec::new();
-            let mut rest = counts.as_mut_slice();
-            for r in &ranges {
-                let (head, tail) = rest.split_at_mut(r.len());
-                tasks.push((r.clone(), head));
-                rest = tail;
-            }
-            tasks.into_par_iter().for_each(|(cols, out)| {
-                let mut mem = NullModel;
-                for (slot, j) in cols.into_iter().enumerate() {
-                    let bj = b.col(j);
-                    let views: Vec<ColView<'_, T>> =
-                        bj.rows.iter().map(|&l| a.col(l as usize)).collect();
-                    let mut heap = KwayHeap::<T>::new(views.len().max(1));
-                    out[slot] = heap.count_column(&views, &mut mem);
-                }
-            });
-        }
-
-        let colptr = exclusive_prefix_sum(&counts);
-        let nnz = *colptr.last().unwrap();
-        let mut rowidx = vec![0u32; nnz];
-        let mut values = vec![T::default(); nnz];
-        let num_ranges = plan_ranges(&counts, 0, opts.scheduling);
-        let chunks = split_output(&colptr, &num_ranges, &mut rowidx, &mut values);
-        chunks.into_par_iter().for_each(|chunk| {
-            let mut mem = NullModel;
-            // Scaled copies of the contributing columns (B(l,j)·A(:,l)).
-            let mut scaled_rows: Vec<u32> = Vec::new();
-            let mut scaled_vals: Vec<T> = Vec::new();
-            for j in chunk.cols.clone() {
-                let lo = colptr[j] - chunk.base;
-                let hi = colptr[j + 1] - chunk.base;
-                let bj = b.col(j);
-                scaled_rows.clear();
-                scaled_vals.clear();
-                let mut offsets = Vec::with_capacity(bj.nnz() + 1);
-                offsets.push(0usize);
-                for (l, bv) in bj.iter() {
-                    let al = a.col(l as usize);
-                    scaled_rows.extend_from_slice(al.rows);
-                    scaled_vals.extend(al.vals.iter().map(|&av| av * bv));
-                    offsets.push(scaled_rows.len());
-                }
-                let views: Vec<ColView<'_, T>> = offsets
-                    .windows(2)
-                    .map(|w| ColView {
-                        rows: &scaled_rows[w[0]..w[1]],
-                        vals: &scaled_vals[w[0]..w[1]],
-                    })
-                    .collect();
-                let mut heap = KwayHeap::<T>::new(views.len().max(1));
-                let written = heap.add_column(
-                    &views,
-                    &mut chunk.rows[lo..hi],
-                    &mut chunk.vals[lo..hi],
                     Plus::new(),
                     &mut mem,
                 );
@@ -282,14 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn heap_spgemm_matches_hash() {
-        let (a, b) = small_pair();
-        let h = spgemm_hash(&a, &b, &SpgemmOptions::default()).unwrap();
-        let p = spgemm_heap(&a, &b, &SpgemmOptions::default()).unwrap();
-        assert!(h.approx_eq(&p, 1e-12));
-    }
-
-    #[test]
     fn unsorted_output_is_numerically_identical() {
         let (a, b) = small_pair();
         let opts = SpgemmOptions {
@@ -308,7 +195,6 @@ mod tests {
         let (a, _) = small_pair();
         let bad = CscMatrix::<f64>::zeros(7, 2);
         assert!(spgemm_hash(&a, &bad, &SpgemmOptions::default()).is_err());
-        assert!(spgemm_heap(&a, &bad, &SpgemmOptions::default()).is_err());
     }
 
     #[test]
@@ -340,23 +226,11 @@ mod tests {
     }
 
     #[test]
-    fn heap_rejects_unsorted_left_operand() {
-        let a = CscMatrix::try_new(4, 1, vec![0, 2], vec![2, 0], vec![1.0, 2.0]).unwrap();
-        let b = CscMatrix::<f64>::identity(1);
-        assert!(spgemm_heap(&a, &b, &SpgemmOptions::default()).is_err());
-        // Hash path handles it fine.
-        let c = spgemm_hash(&a, &b, &SpgemmOptions::default()).unwrap();
-        assert_eq!(c.nnz(), 2);
-    }
-
-    #[test]
     fn random_products_match_dense_oracle() {
         let a = spk_gen::er(64, 32, 4, 17);
         let b = spk_gen::er(32, 16, 4, 18);
         let c = spgemm_hash(&a, &b, &SpgemmOptions::default()).unwrap();
         let d = dense_product(&a, &b);
         assert!(DenseMatrix::from_csc(&c).max_abs_diff(&d) < 1e-9);
-        let ch = spgemm_heap(&a, &b, &SpgemmOptions::default()).unwrap();
-        assert!(DenseMatrix::from_csc(&ch).max_abs_diff(&d) < 1e-9);
     }
 }

@@ -30,7 +30,8 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let rest = &args[1..];
-    let result = match cmd.as_str() {
+    // Every subcommand rejects unknown flags before it reads any.
+    let result = positional(rest).and_then(|_| match cmd.as_str() {
         "add" => cmd_add(rest),
         "stats" => cmd_stats(rest),
         "gen" => cmd_gen(rest),
@@ -41,7 +42,7 @@ fn main() -> ExitCode {
             Ok(())
         }
         other => Err(format!("unknown command '{other}'\n{USAGE}")),
-    };
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -56,8 +57,8 @@ spkadd-cli — SpKAdd over Matrix Market files
 
 USAGE:
   spkadd-cli add  [--algorithm NAME] [--out FILE] [--unsorted]
-                  [--no-adaptive] [--pattern-cache N] [--repeat N]
-                  [--trace-json FILE] FILES...
+                  [--pattern-cache N] [--repeat N] [--trace-json FILE]
+                  FILES...
   spkadd-cli stats FILES...
   spkadd-cli gen  [--pattern er|rmat] [--rows R] [--cols C] [--d D] [--k K]
                   [--seed S] --out-dir DIR
@@ -79,8 +80,7 @@ Algorithms: hash (default), sliding-hash, spa, sliding-spa, heap,
             2way-tree, 2way-incremental, lib-tree, lib-incremental, auto
             ('auto' picks per collection — per flushed batch under
             serve-demo — with the paper's Fig 2 decision surface, then
-            re-scores every column chunk; --no-adaptive pins the
-            collection-level choice for all chunks)";
+            re-scores every column chunk)";
 
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.windows(2)
@@ -88,24 +88,28 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(|w| w[1].as_str())
 }
 
-fn positional(args: &[String]) -> Vec<&String> {
-    // Everything not part of a --flag pair and not a bare flag.
+/// Every flag that takes a value, across the subcommands; `--unsorted` is
+/// the one bare flag.
+const VALUED_FLAGS: &str = "--algorithm --out --pattern-cache --repeat --trace-json --pattern \
+    --rows --cols --d --k --seed --out-dir --shards --keys --matrices --producers --metrics-json \
+    --root";
+
+/// The operands: every argument that is neither a flag nor a flag's
+/// value. Any other `--flag` is an error: guessing whether an unknown flag
+/// takes a value would silently drop the operand after it.
+fn positional(args: &[String]) -> Result<Vec<&String>, String> {
     let mut out = Vec::new();
-    let mut skip = false;
-    for (i, a) in args.iter().enumerate() {
-        if skip {
-            skip = false;
-            continue;
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if VALUED_FLAGS.split_whitespace().any(|f| f == a) {
+            it.next().ok_or(format!("{a} needs a value\n{USAGE}"))?;
+        } else if !a.starts_with("--") {
+            out.push(a);
+        } else if a != "--unsorted" {
+            return Err(format!("unknown flag '{a}'\n{USAGE}"));
         }
-        if a.starts_with("--") {
-            // Flags with values; bare flags are enumerated explicitly.
-            skip = !matches!(a.as_str(), "--unsorted" | "--no-adaptive");
-            let _ = i;
-            continue;
-        }
-        out.push(a);
     }
-    out
+    Ok(out)
 }
 
 fn load_all(paths: &[&String]) -> Result<Vec<CscMatrix<f64>>, String> {
@@ -150,21 +154,19 @@ fn cmd_add(args: &[String]) -> Result<(), String> {
         .map_err(|e: spkadd_suite::kadd::SpkaddError| e.to_string())?;
     let out = flag_value(args, "--out");
     let unsorted = args.iter().any(|a| a == "--unsorted");
-    let no_adaptive = args.iter().any(|a| a == "--no-adaptive");
     let cache_cap: usize = parsed_flag(args, "--pattern-cache", 0)?;
     let repeat: usize = parsed_flag(args, "--repeat", 1)?.max(1);
     let trace_json = flag_value(args, "--trace-json");
     if trace_json.is_some() {
         spkadd_suite::obs::set_tracing(true);
     }
-    let mats = load_all(&positional(args))?;
+    let mats = load_all(&positional(args)?)?;
     let refs: Vec<&CscMatrix<f64>> = mats.iter().collect();
     let (nrows, ncols) = common_shape(&refs).map_err(|e| e.to_string())?;
 
     let mut plan = SpkAdd::new(nrows, ncols)
         .algorithm(alg)
         .options(Options {
-            adaptive: !no_adaptive,
             sorted_output: !unsorted,
             ..Options::default()
         })
@@ -222,7 +224,7 @@ fn cmd_add(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let mats = load_all(&positional(args))?;
+    let mats = load_all(&positional(args)?)?;
     for (i, m) in mats.iter().enumerate() {
         let d = DegreeStats::of(m);
         println!(

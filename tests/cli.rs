@@ -157,3 +157,48 @@ fn add_rejects_an_oversized_size_line() {
     assert!(err.contains("parse error"), "stderr: {err}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn add_rejects_unknown_flags_instead_of_dropping_a_file() {
+    let dir = tempdir("unknown_flag");
+    let status = cli()
+        .args(["gen", "--rows", "64", "--cols", "4", "--d", "2", "--k", "3"])
+        .args(["--out-dir", dir.to_str().unwrap()])
+        .status()
+        .unwrap();
+    assert!(status.success());
+    let files: Vec<String> = (0..3)
+        .map(|i| {
+            dir.join(format!("mat_{i:03}.mtx"))
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    let sum = dir.join("sum.mtx");
+    // An unknown flag used to be taken as one with a value, so the file
+    // after it vanished from the sum and the run still exited 0.
+    for flag in ["--unsorted-typo", "--no-adaptive"] {
+        let out = cli()
+            .args(["add", flag])
+            .args(&files)
+            .args(["--out", sum.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{flag}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag '{flag}'")), "{err}");
+        assert!(err.contains("USAGE"), "{err}");
+        assert!(!sum.exists(), "{flag}: nothing may be written");
+    }
+    // The other subcommands reject unknown flags too.
+    for args in [
+        vec!["stats", "--verbose", files[0].as_str()],
+        vec!["gen", "--rws", "64"],
+        vec!["serve-demo", "--shard", "2"],
+        vec!["check", "--roots", "."],
+    ] {
+        let out = cli().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

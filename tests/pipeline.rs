@@ -5,7 +5,7 @@ use spkadd_suite::cachesim::CacheHierarchy;
 use spkadd_suite::gen::{er, protein_similarity_matrix};
 use spkadd_suite::kadd::metered::trace_spkadd;
 use spkadd_suite::sparse::{io, CscMatrix, DenseMatrix};
-use spkadd_suite::spgemm::{spgemm_hash, spgemm_heap, SpgemmOptions};
+use spkadd_suite::spgemm::{spgemm_hash, SpgemmOptions};
 use spkadd_suite::summa::{process_intermediates, run_summa, ReductionKind, SummaConfig};
 use spkadd_suite::{spkadd_with, Algorithm, Options};
 
@@ -18,8 +18,6 @@ fn spgemm_agrees_with_dense_oracle() {
         .unwrap();
     let hash = spgemm_hash(&a, &b, &SpgemmOptions::default()).unwrap();
     assert!(DenseMatrix::from_csc(&hash).max_abs_diff(&dense) < 1e-9);
-    let heap = spgemm_heap(&a, &b, &SpgemmOptions::default()).unwrap();
-    assert!(DenseMatrix::from_csc(&heap).max_abs_diff(&dense) < 1e-9);
 }
 
 #[test]
