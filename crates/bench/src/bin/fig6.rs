@@ -13,7 +13,9 @@
 //!
 //! Per-process times are single-worker times (the processes, not the
 //! multiplies inside them, are what runs in parallel), so the "sum"
-//! columns are not comparable with runs that predate that change.
+//! columns are not comparable with runs that predate that change. The
+//! workers claim processes heaviest first; "Imbalance" is the busiest
+//! worker's busy time over the mean worker's (1.00 = balanced).
 
 use spk_bench::{fmt_secs, print_table, Args};
 use spk_gen::protein_similarity_matrix;
@@ -54,6 +56,7 @@ fn main() {
             "Local Multiply (s, sum)".to_string(),
             "SpKAdd (s, sum)".to_string(),
             "Total (s)".to_string(),
+            "Imbalance".to_string(),
         ]];
         let mut reference: Option<spk_sparse::CscMatrix<f64>> = None;
         for reduction in [
@@ -85,6 +88,7 @@ fn main() {
                 fmt_secs(mul),
                 fmt_secs(add),
                 fmt_secs(mul + add),
+                format!("{:.2}", report.imbalance()),
             ]);
         }
         print_table(&rows);

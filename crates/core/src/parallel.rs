@@ -218,7 +218,7 @@ pub(crate) fn claimed_map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + 
     let swap = |i: usize, new: Slot<T, R>| {
         std::mem::replace(&mut *slots[i].lock().expect("slot poisoned"), new)
     };
-    claim_each(slots.len(), &|i| {
+    claim_each(slots.len(), &|_, i| {
         let Slot::Waiting(item) = swap(i, Slot::Running) else {
             unreachable!("each index is claimed once");
         };
@@ -233,21 +233,32 @@ pub(crate) fn claimed_map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + 
         .collect()
 }
 
-/// Runs `f(i)` for every `i < n` on the current pool's workers, which
-/// claim indices from a shared counter. Not generic, so the region
-/// compiles once, here: a generic version changed how downstream crates'
-/// generic code was split into codegen units, and slowed phases that
-/// never call it.
-fn claim_each(n: usize, f: &(dyn Fn(usize) + Sync)) {
+/// Runs `f(worker, i)` for every `i < n` on the current pool's workers,
+/// which claim indices one at a time from a shared counter, in index
+/// order; returns the number of workers, so `worker < claim_each(..)`.
+///
+/// - A caller that wants the heaviest items first (longest processing
+///   time first) hands over indices into a heaviest-first order.
+/// - A worker that starts late or is preempted delays the region by at
+///   most the item it holds: the others claim the rest.
+/// - With `n ≤ 1`, or one worker, `f` runs on the caller. The single-item
+///   region leaves the caller unmarked, so a region nested in `f` still
+///   forks (a one-process SUMMA grid still parallelises its multiply).
+///
+/// Not generic, so the region compiles once, here: a generic version
+/// changed how downstream crates' generic code was split into codegen
+/// units, and slowed phases that never call it.
+pub fn claim_each(n: usize, f: &(dyn Fn(usize, usize) + Sync)) -> usize {
     let next = AtomicUsize::new(0);
     let workers = rayon::current_num_threads().clamp(1, n.max(1));
-    (0..workers).into_par_iter().for_each(|_| loop {
+    (0..workers).into_par_iter().for_each(|worker| loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         if i >= n {
             break;
         }
-        f(i);
+        f(worker, i);
     });
+    workers
 }
 
 /// Runs `f` on a dedicated rayon pool of `threads` threads (0 = the global
@@ -365,6 +376,45 @@ mod tests {
                 assert_eq!(out, (0..n).map(|i| i * 10).collect::<Vec<_>>());
             }
         }
+    }
+
+    #[test]
+    fn claim_each_runs_every_index_once() {
+        // n = 0, fewer items than workers, and more items than workers.
+        for threads in [1, 2, 3] {
+            for n in [0usize, 1, 2, 7, 64] {
+                let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let top = AtomicUsize::new(0);
+                let workers = run_with_threads(threads, || {
+                    claim_each(n, &|worker, i| {
+                        top.fetch_max(worker, Ordering::Relaxed);
+                        hits[i].fetch_add(1, Ordering::Relaxed);
+                    })
+                });
+                assert_eq!(workers, threads.min(n).max(1), "threads {threads}, n {n}");
+                assert!(top.into_inner() < workers);
+                assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+            }
+        }
+    }
+
+    #[test]
+    fn claim_each_runs_one_item_on_the_caller_unmarked() {
+        let caller = std::thread::current().id();
+        let seen = Mutex::new(None);
+        run_with_threads(2, || {
+            claim_each(1, &|worker, _| {
+                let nested: Vec<_> = (0..2usize)
+                    .into_par_iter()
+                    .map(|_| std::thread::current().id())
+                    .collect();
+                *seen.lock().unwrap() = Some((worker, std::thread::current().id(), nested));
+            })
+        });
+        let (worker, ran_on, nested) = seen.into_inner().unwrap().expect("item never ran");
+        assert_eq!(worker, 0);
+        assert_eq!(ran_on, caller, "a single item runs on the caller");
+        assert_ne!(nested[0], nested[1], "a region nested in it still forks");
     }
 
     #[test]

@@ -16,13 +16,16 @@
 //! exactly what Fig 6 reports ("excluding the communication costs").
 //! See DESIGN.md, "Simulated sparse SUMMA".
 //!
-//! The simulated processes are the unit of parallelism: they are spread
-//! over the worker threads, and the multiplies and SpKAdd inside one
-//! process run on that process's worker (nested regions run inline), as
-//! one MPI rank would. The global `C` is assembled by block concatenation:
-//! the disjoint, column-sorted process blocks are stacked vertically per
-//! block column and the block columns side by side, with no sort and no
-//! duplicate merge.
+//! The simulated processes are the unit of parallelism, and the
+//! multiplies and SpKAdd inside one process run on the worker that
+//! claimed it (nested regions run inline), as one MPI rank would. The
+//! workers claim processes one at a time, heaviest first by local-multiply
+//! flops (longest processing time first), so a few heavy processes on a
+//! clustered input no longer pile onto one worker's fixed share. The
+//! global `C` is assembled in one pass: its column pointers come from the
+//! blocks' column counts, and each block column's window of the output
+//! arrays is filled in parallel from the disjoint, column-sorted process
+//! blocks, with no sort and no duplicate merge.
 
 // No unsafe anywhere in this crate (checked repo-wide by spk-lint's
 // safety-comment rule where unsafe *is* allowed).
@@ -31,7 +34,9 @@
 use rayon::prelude::*;
 use spk_sparse::{CscMatrix, SparseError};
 use spk_spgemm::{spgemm_hash, SpgemmOptions};
+use spkadd::parallel::{claim_each, split_output};
 use spkadd::{Algorithm, Options, SpkaddError};
+use std::sync::Mutex;
 
 /// Which SpKAdd variant reduces the per-process intermediates, matching
 /// the three bars of Fig 6.
@@ -92,7 +97,8 @@ impl Default for SummaConfig {
     }
 }
 
-/// Per-process phase timings (seconds).
+/// Per-process phase timings (seconds), with the process's load and the
+/// worker that ran it.
 ///
 /// Each process runs on a single worker thread (regions nested inside it
 /// run inline), so these are single-worker times. Earlier versions ran
@@ -105,6 +111,12 @@ pub struct ProcessTiming {
     pub multiply: f64,
     /// SpKAdd reduction time.
     pub spkadd: f64,
+    /// Local-multiply flops, `Σ_s flops(A(i,s)·B(s,j))`: the weight the
+    /// claim order sorts by.
+    pub flops: usize,
+    /// The worker that claimed and ran the process, below
+    /// [`SummaReport::workers`].
+    pub worker: usize,
 }
 
 /// Outcome of a simulated SUMMA run.
@@ -122,6 +134,8 @@ pub struct SummaReport {
     pub bytes_broadcast: u64,
     /// Grid side used.
     pub grid: usize,
+    /// Workers that claimed processes.
+    pub workers: usize,
 }
 
 impl SummaReport {
@@ -150,6 +164,28 @@ impl SummaReport {
             .iter()
             .map(|t| t.spkadd)
             .fold(0.0, f64::max)
+    }
+
+    /// Busy time (multiply + SpKAdd) of each worker, indexed by
+    /// [`ProcessTiming::worker`]; a worker that claimed nothing reads 0.
+    pub fn worker_busy(&self) -> Vec<f64> {
+        let mut busy = vec![0.0; self.workers];
+        for t in &self.per_process {
+            busy[t.worker] += t.multiply + t.spkadd;
+        }
+        busy
+    }
+
+    /// Load imbalance: the busiest worker's time over the mean worker's
+    /// (1 = perfectly balanced; the region waits for the busiest).
+    pub fn imbalance(&self) -> f64 {
+        let busy = self.worker_busy();
+        let mean = busy.iter().sum::<f64>() / busy.len() as f64;
+        if mean > 0.0 {
+            busy.iter().copied().fold(0.0, f64::max) / mean
+        } else {
+            1.0
+        }
     }
 }
 
@@ -197,6 +233,80 @@ pub fn csc_wire_bytes(m: &CscMatrix<f64>) -> u64 {
 /// Block boundary `i` of `parts` over an extent of `len`.
 fn bound(i: usize, parts: usize, len: usize) -> usize {
     i * len / parts
+}
+
+/// Local-multiply flops of every process, `Σ_s flops(A(i,s)·B(s,j))`,
+/// indexed `i * q + j`. Inner index `l` of stage `s` contributes
+/// `nnz(A(i,s)(:,l)) · nnz(B(s,j)(l,:))`, so this is one count pass over
+/// the B blocks plus `q³` dot products of slab-width count vectors.
+fn process_flops(a_blocks: &[Vec<CscMatrix<f64>>], b_blocks: &[Vec<CscMatrix<f64>>]) -> Vec<usize> {
+    let q = a_blocks.len();
+    let mut flops = vec![0usize; q * q];
+    for (s, b_row) in b_blocks.iter().enumerate() {
+        let width = b_row[0].nrows();
+        let mut row_nnz = vec![0usize; width];
+        for (j, b) in b_row.iter().enumerate() {
+            row_nnz.fill(0);
+            for &l in b.rowidx() {
+                row_nnz[l as usize] += 1;
+            }
+            for (i, a_row) in a_blocks.iter().enumerate() {
+                let a = &a_row[s];
+                flops[i * q + j] += (0..width).map(|l| a.col_nnz(l) * row_nnz[l]).sum::<usize>();
+            }
+        }
+    }
+    flops
+}
+
+/// The order in which workers claim processes: descending weight, ties
+/// by pid (longest processing time first).
+fn claim_order(weights: &[usize]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..weights.len()).collect();
+    order.sort_by_key(|&pid| (std::cmp::Reverse(weights[pid]), pid));
+    order
+}
+
+/// Assembles the global `m × n` product from the `q × q` process blocks
+/// (`blocks[i * q + j]`), which tile it disjointly and have sorted
+/// columns: global column `c` of block column `j` is block `(0, j)`'s
+/// column, then block `(1, j)`'s, each row-offset by its block's first
+/// row. The column pointers come from the blocks' column counts; each
+/// block column's window of the output arrays is filled in parallel.
+fn assemble(blocks: &[CscMatrix<f64>], q: usize, m: usize, n: usize) -> CscMatrix<f64> {
+    let ranges: Vec<std::ops::Range<usize>> =
+        (0..q).map(|j| bound(j, q, n)..bound(j + 1, q, n)).collect();
+    let mut colptr = Vec::with_capacity(n + 1);
+    let mut nnz = 0usize;
+    colptr.push(nnz);
+    for (j, cols) in ranges.iter().enumerate() {
+        for c in 0..cols.len() {
+            nnz += (0..q).map(|i| blocks[i * q + j].col_nnz(c)).sum::<usize>();
+            colptr.push(nnz);
+        }
+    }
+    let mut rowidx = vec![0u32; nnz];
+    let mut values = vec![0.0f64; nnz];
+    let windows = split_output(&colptr, &ranges, &mut rowidx, &mut values);
+    (0..q)
+        .into_par_iter()
+        .zip(windows.into_par_iter())
+        .for_each(|(j, w)| {
+            let mut at = 0;
+            for c in 0..w.cols.len() {
+                for i in 0..q {
+                    let col = blocks[i * q + j].col(c);
+                    let offset = bound(i, q, m) as u32;
+                    let end = at + col.rows.len();
+                    for (dst, &r) in w.rows[at..end].iter_mut().zip(col.rows) {
+                        *dst = r + offset;
+                    }
+                    w.vals[at..end].copy_from_slice(col.vals);
+                    at = end;
+                }
+            }
+        });
+    CscMatrix::from_parts(m, n, colptr, rowidx, values)
 }
 
 /// Runs the simulated SUMMA product `C = A·B`.
@@ -284,13 +394,22 @@ pub fn run_summa(
 
         // Each process: q local multiplies (one per stage), then SpKAdd.
         // Processes are the unit of parallelism; the regions inside one
-        // run inline on its worker. `map` keeps pid order.
-        let outcomes: Result<Vec<(CscMatrix<f64>, ProcessTiming)>, SummaError> = (0..q * q)
-            .into_par_iter()
-            .map(|pid| {
-                let _span = spk_obs::span!("summa.process");
-                let (i, j) = (pid / q, pid % q);
-                let mut timing = ProcessTiming::default();
+        // run inline on the worker that claimed it. Workers claim the
+        // heaviest processes first; results land in per-pid slots.
+        let weights = process_flops(&a_blocks, &b_blocks);
+        let order = claim_order(&weights);
+        type Outcome = Result<(CscMatrix<f64>, ProcessTiming), SummaError>;
+        let slots: Vec<Mutex<Option<Outcome>>> = (0..q * q).map(|_| Mutex::new(None)).collect();
+        let workers = claim_each(q * q, &|worker, k| {
+            let _span = spk_obs::span!("summa.process");
+            let pid = order[k];
+            let (i, j) = (pid / q, pid % q);
+            let outcome = (|| -> Outcome {
+                let mut timing = ProcessTiming {
+                    flops: weights[pid],
+                    worker,
+                    ..ProcessTiming::default()
+                };
                 let mut partials: Vec<CscMatrix<f64>> = Vec::with_capacity(q);
                 for s in 0..q {
                     let t0 = spk_obs::now();
@@ -303,25 +422,26 @@ pub fn run_summa(
                 let block = spkadd::spkadd_with(&refs, alg, &add_opts)?;
                 timing.spkadd += t0.elapsed().as_secs_f64();
                 Ok((block, timing))
+            })();
+            *slots[pid].lock().expect("slot poisoned") = Some(outcome);
+        });
+        let (blocks, per_process): (Vec<CscMatrix<f64>>, Vec<ProcessTiming>) = slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("slot poisoned")
+                    .expect("every process was claimed")
             })
-            .collect();
-        let (blocks, per_process): (Vec<CscMatrix<f64>>, Vec<ProcessTiming>) =
-            outcomes?.into_iter().unzip();
+            .collect::<Result<Vec<_>, _>>()?
+            .into_iter()
+            .unzip();
 
-        // Reassemble the global product. The blocks tile C disjointly and
-        // have sorted columns, so C is the hstack of the q block-column
-        // vstacks — exactly the canonical (sorted, duplicate-free) C.
+        // Reassemble the global product: the blocks tile C disjointly and
+        // have sorted columns, so the result is the canonical (sorted,
+        // duplicate-free) C.
         let result = {
             let _span = spk_obs::span!("summa.assemble");
-            let block_cols: Vec<CscMatrix<f64>> = (0..q)
-                .into_par_iter()
-                .map(|j| {
-                    let col: Vec<&CscMatrix<f64>> = (0..q).map(|i| &blocks[i * q + j]).collect();
-                    CscMatrix::vstack(&col)
-                })
-                .collect::<Result<_, _>>()?;
-            let refs: Vec<&CscMatrix<f64>> = block_cols.iter().collect();
-            CscMatrix::hstack(&refs)?
+            assemble(&blocks, q, m, n)
         };
 
         Ok(SummaReport {
@@ -329,6 +449,7 @@ pub fn run_summa(
             per_process,
             bytes_broadcast: bytes,
             grid: q,
+            workers,
         })
     };
     spkadd::parallel::run_with_threads(cfg.threads, run)
@@ -450,6 +571,7 @@ pub fn process_intermediates(
 mod tests {
     use super::*;
     use spk_sparse::DenseMatrix;
+    use spk_spgemm::flops_per_column;
 
     fn inputs() -> (CscMatrix<f64>, CscMatrix<f64>) {
         let a = spk_gen::er(48, 40, 3, 100);
@@ -638,6 +760,86 @@ mod tests {
         ));
         // 40-wide inner dimension cannot host 32 layers of a 4x4 grid.
         assert!(run_summa_3d(&a, &b, &SummaConfig::default(), 32).is_err());
+    }
+
+    #[test]
+    fn workers_claim_heaviest_processes_first_ties_by_pid() {
+        assert_eq!(claim_order(&[3, 7, 7, 0, 3]), vec![1, 2, 0, 4, 3]);
+        assert_eq!(claim_order(&[0; 4]), vec![0, 1, 2, 3]);
+        assert!(claim_order(&[]).is_empty());
+    }
+
+    /// A block-diagonal `A` squared on a grid aligned with its blocks:
+    /// only the diagonal processes do any work, and their loads differ by
+    /// an order of magnitude, so the claim order is far from pid order.
+    #[test]
+    fn skewed_block_diagonal_product_is_exact_and_reported_in_pid_order() {
+        let (q, side) = (4usize, 24usize);
+        let n = q * side;
+        let mut coo = spk_sparse::CooMatrix::new(n, n);
+        for (blk, deg) in [(0usize, 1usize), (1, 12), (2, 2), (3, 6)] {
+            let m = spk_gen::er(side, side, deg, 300 + blk as u64);
+            for (r, c, v) in m.iter() {
+                let (r, c) = ((blk * side) as u32 + r, (blk * side) as u32 + c);
+                coo.push(r, c, (v * 7.0).floor() - 3.0);
+            }
+        }
+        let a = coo.to_csc();
+        let serial = SpgemmOptions {
+            sorted_output: true,
+            threads: 1,
+            ..Default::default()
+        };
+        let direct = spgemm_hash(&a, &a, &serial).unwrap();
+        let flops = |i: usize, j: usize| -> usize {
+            let a_row = a.slice_rows(i * side, (i + 1) * side);
+            let b_col = a.slice_cols(j * side, (j + 1) * side);
+            (0..q)
+                .map(|s| {
+                    let a_blk = a_row.slice_cols(s * side, (s + 1) * side);
+                    let b_blk = b_col.slice_rows(s * side, (s + 1) * side);
+                    flops_per_column(&a_blk, &b_blk).iter().sum::<usize>()
+                })
+                .sum()
+        };
+        for threads in [2, 3] {
+            for reduction in [ReductionKind::Heap, ReductionKind::UnsortedHash] {
+                let cfg = SummaConfig {
+                    grid: q,
+                    reduction,
+                    threads,
+                };
+                let report = run_summa(&a, &a, &cfg).unwrap();
+                assert_eq!(report.result, direct, "{cfg:?}");
+                assert_eq!(report.workers, threads, "{cfg:?}");
+                assert_eq!(report.per_process.len(), q * q);
+                for (pid, t) in report.per_process.iter().enumerate() {
+                    let (i, j) = (pid / q, pid % q);
+                    assert_eq!(t.flops, flops(i, j), "pid {pid}, {cfg:?}");
+                    assert_eq!(t.flops > 0, i == j, "pid {pid}, {cfg:?}");
+                    assert!(t.worker < threads);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn worker_busy_adds_up_to_the_process_times() {
+        let (a, b) = inputs();
+        for threads in [1, 2, 3] {
+            let cfg = SummaConfig {
+                threads,
+                ..Default::default()
+            };
+            let report = run_summa(&a, &b, &cfg).unwrap();
+            let busy = report.worker_busy();
+            assert_eq!(busy.len(), report.workers);
+            let by_worker: f64 = busy.iter().sum();
+            let by_process = report.multiply_total() + report.spkadd_total();
+            assert!((by_worker - by_process).abs() <= 1e-9 * by_process.max(1.0));
+            assert!(report.imbalance() >= 1.0, "{cfg:?}");
+            assert!(report.imbalance() <= report.workers as f64 + 1e-9);
+        }
     }
 
     #[test]

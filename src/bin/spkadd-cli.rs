@@ -30,10 +30,15 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let rest = &args[1..];
-    // Every subcommand rejects unknown flags before it reads any.
-    let result = positional(rest).and_then(|_| match cmd.as_str() {
+    // Every subcommand rejects unknown and repeated flags before it reads
+    // any; only `add` and `stats` take operands.
+    let result = positional(rest).and_then(|operands| match cmd.as_str() {
         "add" => cmd_add(rest),
         "stats" => cmd_stats(rest),
+        "gen" | "serve-demo" | "check" if !operands.is_empty() => Err(format!(
+            "{cmd} takes no operands, got '{}'\n{USAGE}",
+            operands[0]
+        )),
         "gen" => cmd_gen(rest),
         "serve-demo" => cmd_serve_demo(rest),
         "check" => cmd_check(rest),
@@ -96,11 +101,19 @@ const VALUED_FLAGS: &str = "--algorithm --out --pattern-cache --repeat --trace-j
 
 /// The operands: every argument that is neither a flag nor a flag's
 /// value. Any other `--flag` is an error: guessing whether an unknown flag
-/// takes a value would silently drop the operand after it.
+/// takes a value would silently drop the operand after it. So is a flag
+/// given twice: only its first value would ever be read.
 fn positional(args: &[String]) -> Result<Vec<&String>, String> {
     let mut out = Vec::new();
+    let mut seen: Vec<&String> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if a.starts_with("--") {
+            if seen.contains(&a) {
+                return Err(format!("{a} given more than once\n{USAGE}"));
+            }
+            seen.push(a);
+        }
         if VALUED_FLAGS.split_whitespace().any(|f| f == a) {
             it.next().ok_or(format!("{a} needs a value\n{USAGE}"))?;
         } else if !a.starts_with("--") {

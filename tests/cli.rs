@@ -161,19 +161,7 @@ fn add_rejects_an_oversized_size_line() {
 #[test]
 fn add_rejects_unknown_flags_instead_of_dropping_a_file() {
     let dir = tempdir("unknown_flag");
-    let status = cli()
-        .args(["gen", "--rows", "64", "--cols", "4", "--d", "2", "--k", "3"])
-        .args(["--out-dir", dir.to_str().unwrap()])
-        .status()
-        .unwrap();
-    assert!(status.success());
-    let files: Vec<String> = (0..3)
-        .map(|i| {
-            dir.join(format!("mat_{i:03}.mtx"))
-                .to_string_lossy()
-                .into_owned()
-        })
-        .collect();
+    let files = small_collection(&dir);
     let sum = dir.join("sum.mtx");
     // An unknown flag used to be taken as one with a value, so the file
     // after it vanished from the sum and the run still exited 0.
@@ -196,6 +184,76 @@ fn add_rejects_unknown_flags_instead_of_dropping_a_file() {
         vec!["gen", "--rws", "64"],
         vec!["serve-demo", "--shard", "2"],
         vec!["check", "--roots", "."],
+    ] {
+        let out = cli().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Writes a 3-matrix collection into `dir` and returns the file paths.
+fn small_collection(dir: &std::path::Path) -> Vec<String> {
+    let status = cli()
+        .args(["gen", "--rows", "64", "--cols", "4", "--d", "2", "--k", "3"])
+        .args(["--out-dir", dir.to_str().unwrap()])
+        .status()
+        .unwrap();
+    assert!(status.success());
+    (0..3)
+        .map(|i| {
+            dir.join(format!("mat_{i:03}.mtx"))
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect()
+}
+
+#[test]
+fn subcommands_without_operands_reject_stray_ones() {
+    let dir = tempdir("stray_operand");
+    let out_dir = dir.join("gen");
+    // `gen` used to drop the stray `64` and write the collection anyway.
+    let out = cli()
+        .args(["gen", "64", "--rows", "128", "--cols", "4", "--d", "2"])
+        .args(["--out-dir", out_dir.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("gen takes no operands, got '64'"), "{err}");
+    assert!(!out_dir.exists(), "nothing may be written");
+    for args in [
+        vec!["serve-demo", "--matrices", "2", "--rows", "64", "extra"],
+        vec!["check", "--root", ".", "extra"],
+    ] {
+        let out = cli().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("takes no operands, got 'extra'"), "{err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn repeated_flags_are_rejected_instead_of_keeping_the_first() {
+    let dir = tempdir("repeated_flag");
+    let files = small_collection(&dir);
+    let sum = dir.join("sum.mtx");
+    // The second `--algorithm` was never read: this ran Heap and exited 0.
+    let out = cli()
+        .args(["add", "--algorithm", "heap", "--algorithm", "quantum"])
+        .args(["--out", sum.to_str().unwrap()])
+        .args(&files)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--algorithm given more than once"), "{err}");
+    assert!(!sum.exists(), "nothing may be written");
+    for args in [
+        vec!["add", "--unsorted", "--unsorted", files[0].as_str()],
+        vec!["gen", "--rows", "64", "--rows", "128"],
+        vec!["serve-demo", "--shards", "2", "--shards", "3"],
     ] {
         let out = cli().args(&args).output().unwrap();
         assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
