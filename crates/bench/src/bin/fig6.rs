@@ -16,6 +16,9 @@
 //! columns are not comparable with runs that predate that change. The
 //! workers claim processes heaviest first; "Imbalance" is the busiest
 //! worker's busy time over the mean worker's (1.00 = balanced).
+//! "Multiply ns/flop" is the summed local-multiply time over the summed
+//! local-multiply flops (`Σ_s flops(A(i,s)·B(s,j))` per process): the cost
+//! of one multiply-add inside the local SpGEMM.
 
 use spk_bench::{fmt_secs, print_table, Args};
 use spk_gen::protein_similarity_matrix;
@@ -56,6 +59,7 @@ fn main() {
             "Local Multiply (s, sum)".to_string(),
             "SpKAdd (s, sum)".to_string(),
             "Total (s)".to_string(),
+            "Multiply ns/flop".to_string(),
             "Imbalance".to_string(),
         ]];
         let mut reference: Option<spk_sparse::CscMatrix<f64>> = None;
@@ -83,11 +87,13 @@ fn main() {
                 ),
             }
             let (mul, add) = (report.multiply_total(), report.spkadd_total());
+            let flops: usize = report.per_process.iter().map(|t| t.flops).sum();
             rows.push(vec![
                 reduction.name().to_string(),
                 fmt_secs(mul),
                 fmt_secs(add),
                 fmt_secs(mul + add),
+                format!("{:.1}", mul * 1e9 / flops.max(1) as f64),
                 format!("{:.2}", report.imbalance()),
             ]);
         }

@@ -4,7 +4,9 @@
 //! provides exactly the subset of rayon's API the workspace uses, with the
 //! same semantics:
 //!
-//! * [`current_num_threads`] / [`current_thread_index`];
+//! * [`current_num_threads`] / [`current_thread_index`]; outside an
+//!   installed pool the count is the machine's parallelism, read once, as
+//!   a real global pool fixes its size when it starts;
 //! * [`ThreadPoolBuilder`] → [`ThreadPool::install`] (a scoped thread-count
 //!   override rather than a persistent pool);
 //! * `into_par_iter()` on `Vec<T>` and integer ranges, `par_chunks(n)` on
@@ -28,6 +30,7 @@
 #![forbid(unsafe_code)]
 
 use std::cell::Cell;
+use std::sync::OnceLock;
 
 thread_local! {
     /// Thread-count override installed by [`ThreadPool::install`].
@@ -40,15 +43,23 @@ thread_local! {
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Number of worker threads parallel operations will use.
+/// The global pool's size, read on first use. `available_parallelism`
+/// reads the affinity mask and cgroup limits on every call: 15–23 µs on a
+/// 2-vCPU Linux VM.
+static GLOBAL_THREADS: OnceLock<usize> = OnceLock::new();
+
+/// Number of worker threads parallel operations will use: the installed
+/// pool's size, else the global pool's.
 pub fn current_num_threads() -> usize {
     let installed = POOL_THREADS.with(|t| t.get());
     if installed != 0 {
         return installed;
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    *GLOBAL_THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Index of the current worker inside a parallel region, `None` outside.
@@ -325,6 +336,43 @@ mod tests {
             .install(current_num_threads);
         assert_eq!(n, 3);
         assert!(current_num_threads() >= 1);
+    }
+
+    #[test]
+    fn global_count_is_read_once_and_install_still_wins() {
+        let global = current_num_threads();
+        assert_eq!(GLOBAL_THREADS.get(), Some(&global), "cached on first use");
+        let machine = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(global, machine);
+        let pool = |n| ThreadPoolBuilder::new().num_threads(n).build().unwrap();
+        assert_eq!(pool(3).install(current_num_threads), 3);
+        assert_eq!(pool(0).install(current_num_threads), global);
+        assert_eq!(
+            current_num_threads(),
+            global,
+            "install restores the global count"
+        );
+    }
+
+    #[test]
+    fn workers_and_their_nested_regions_see_the_pool_count() {
+        let seen: Vec<(usize, Vec<usize>)> = with_two_threads(|| {
+            (0usize..2)
+                .into_par_iter()
+                .map(|_| {
+                    let nested = (0usize..3).into_par_iter().map(|_| current_num_threads());
+                    (current_num_threads(), nested.collect())
+                })
+                .collect()
+        });
+        assert_eq!(seen, vec![(2, vec![2; 3]), (2, vec![2; 3])]);
+        // Without an installed pool, workers read the cached global count.
+        let global = current_num_threads();
+        let ambient: Vec<usize> = (0usize..2)
+            .into_par_iter()
+            .map(|_| current_num_threads())
+            .collect();
+        assert_eq!(ambient, vec![global; 2]);
     }
 
     /// Thread ids of the threads a top-level `items`-wide region runs on.
