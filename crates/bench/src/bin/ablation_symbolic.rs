@@ -8,11 +8,17 @@
 //! the protein inputs are sorted — and the upper-bound/no-symbolic path
 //! with post-compaction) for collections with cf ∈ {1.5, 4, 16}.
 //!
+//! It is also a check: every execution of every strategy must return the
+//! same matrix, bit for bit, as the `Hash` strategy (the symbolic phase
+//! sizes the output and must never change it), or the run panics. CI
+//! runs it small: `--rows 4096 --cols 64 --d 8 --k 8`.
+//!
 //! Usage: `cargo run --release -p spk_bench --bin ablation_symbolic
 //! [--rows R] [--cols C] [--d D] [--k K] [--threads T]`
 
 use spk_bench::{fmt_secs, print_table, refs, Args};
 use spk_gen::{protein_collection, ProteinConfig};
+use spk_sparse::CscMatrix;
 use spkadd::{Algorithm, Options, SymbolicStrategy};
 
 fn main() {
@@ -50,6 +56,9 @@ fn main() {
         let mut warm = Options::default();
         warm.validate_sorted = false;
         let _ = spkadd::spkadd_with(&mrefs, Algorithm::Hash, &warm).expect("warmup failed");
+        // The first `Hash` execution's output, which every later one of
+        // every strategy must equal.
+        let mut reference: Option<CscMatrix<f64>> = None;
         for strategy in [
             SymbolicStrategy::Hash,
             SymbolicStrategy::SlidingHash,
@@ -61,27 +70,31 @@ fn main() {
             opts.threads = threads;
             opts.validate_sorted = false;
             opts.symbolic = strategy;
-            // One plan per strategy, reused across the three reps.
+            // One plan and one output sink per strategy, reused across the
+            // three reps: the steady state, where the compacting path
+            // refills the sink in place.
             let mut plan = spkadd::SpkAdd::new(m, n)
                 .algorithm(Algorithm::Hash)
                 .options(opts)
                 .build::<f64>()
                 .expect("plan build failed");
+            let mut out = CscMatrix::zeros(0, 0);
             // Best of three to damp scheduler noise.
-            let mut best: Option<(spk_sparse::CscMatrix<f64>, spkadd::ExecuteStats)> = None;
+            let mut best: Option<spkadd::ExecuteStats> = None;
             for _ in 0..3 {
-                let mut out = spk_sparse::CscMatrix::zeros(0, 0);
                 let timings = plan
                     .execute_into_timed(&mrefs, &mut out)
                     .expect("spkadd failed");
-                if best
-                    .as_ref()
-                    .is_none_or(|(_, b)| timings.total() < b.total())
-                {
-                    best = Some((out, timings));
+                let expect = reference.get_or_insert_with(|| out.clone());
+                assert_eq!(
+                    &out, expect,
+                    "cf {cf}: the {strategy:?} symbolic strategy changed the output"
+                );
+                if best.is_none_or(|b| timings.total() < b.total()) {
+                    best = Some(timings);
                 }
             }
-            let (out, timings) = best.unwrap();
+            let timings = best.unwrap();
             rows.push(vec![
                 format!("{cf}"),
                 format!("{strategy:?}"),
@@ -95,6 +108,7 @@ fn main() {
     print_table(&rows);
     println!(
         "\nExpected: symbolic share of total grows with cf; UpperBound \
-         trades the symbolic pass for over-allocation plus compaction."
+         trades the symbolic pass for over-allocation plus compaction.\n\
+         Every strategy's output equals the Hash strategy's."
     );
 }

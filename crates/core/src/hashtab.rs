@@ -91,12 +91,20 @@ impl<T: Element> HashAccumulator<T> {
     /// shrinks when oversized by 4× or more (so a table grown for one
     /// outlier sliding panel returns to the cache budget afterwards). The
     /// table must be empty — this is a between-columns operation.
+    ///
+    /// Resizing moves only the mask: the `keys`/`vals` allocation is kept
+    /// and replaced only when the new capacity exceeds it, so columns whose
+    /// sizes alternate do not reallocate the table each time. An empty
+    /// table holds `EMPTY_KEY` in every slot, so the slots a shrink leaves
+    /// beyond the mask, or a grow brings back inside it, are all free.
     pub fn reserve_for(&mut self, entries: usize) {
         debug_assert!(self.occupied.is_empty(), "reserve_for on non-empty table");
         let want = table_size_for(entries);
         if want > self.capacity() || want * 4 <= self.capacity() {
-            self.keys = vec![EMPTY_KEY; want];
-            self.vals = vec![T::default(); want];
+            if want > self.keys.len() {
+                self.keys = vec![EMPTY_KEY; want];
+                self.vals = vec![T::default(); want];
+            }
             self.mask = want - 1;
         }
     }
@@ -289,12 +297,16 @@ impl SymbolicHashTable {
     }
 
     /// Resizes so at least `entries` rows fit (grows when too small,
-    /// shrinks when ≥4× oversized); table must be empty.
+    /// shrinks when ≥4× oversized); table must be empty. Like
+    /// [`HashAccumulator::reserve_for`] it moves only the mask, and
+    /// reallocates only to grow past the current allocation.
     pub fn reserve_for(&mut self, entries: usize) {
         debug_assert!(self.occupied.is_empty(), "reserve_for on non-empty table");
         let want = table_size_for(entries);
         if want > self.capacity() || want * 4 <= self.capacity() {
-            self.keys = vec![EMPTY_KEY; want];
+            if want > self.keys.len() {
+                self.keys = vec![EMPTY_KEY; want];
+            }
             self.mask = want - 1;
         }
     }
@@ -446,6 +458,52 @@ mod tests {
         assert!(ht.capacity() > 100);
         ht.reserve_for(2);
         assert_eq!(ht.capacity(), 4, "4x-oversized tables shrink back");
+    }
+
+    /// Alternating column sizes move the capacity by the hysteresis rule
+    /// above, but the allocation is kept: the table is empty between
+    /// columns, so a shrink or regrow within it only moves the mask.
+    #[test]
+    fn reserve_moves_the_mask_and_keeps_the_allocation() {
+        let mut mem = NullModel;
+        let mut ht = HashAccumulator::<f64>::with_capacity(4);
+        ht.reserve_for(100);
+        let (keys, vals) = (ht.keys.as_ptr(), ht.vals.as_ptr());
+        let mut sym = SymbolicHashTable::with_capacity(4);
+        sym.reserve_for(100);
+        let sym_keys = sym.keys.as_ptr();
+        for round in 0..3u32 {
+            for (entries, cap) in [(100usize, 128usize), (2, 4), (60, 64)] {
+                ht.reserve_for(entries);
+                sym.reserve_for(entries);
+                assert_eq!(ht.capacity(), cap, "round {round}, reserve_for({entries})");
+                assert_eq!(sym.capacity(), cap, "round {round}, reserve_for({entries})");
+                assert_eq!(ht.keys.as_ptr(), keys);
+                assert_eq!(ht.vals.as_ptr(), vals);
+                assert_eq!(sym.keys.as_ptr(), sym_keys);
+                // Fill up to the 7/8 load limit (less one: every insert,
+                // also one that combines, checks the load first): every
+                // slot inside the mask must read free, whatever the
+                // previous capacity was.
+                let fill = entries.min(cap * 7 / 8 - 1);
+                let rows: Vec<u32> = (0..fill as u32).map(|r| r * 37 + round).collect();
+                for &r in &rows {
+                    ht.insert_combine(r, 1.0, Plus::new(), &mut mem);
+                    ht.insert_combine(r, 2.0, Plus::new(), &mut mem);
+                    assert!(sym.insert(r, &mut mem));
+                    assert!(!sym.insert(r, &mut mem));
+                }
+                assert_eq!(ht.capacity(), cap, "no rehash at the reserved size");
+                let mut out_rows = vec![0u32; fill];
+                let mut out_vals = vec![0.0f64; fill];
+                let n = ht.drain_into(&mut out_rows, &mut out_vals, true, Plus::new(), &mut mem);
+                assert_eq!(n, fill);
+                assert_eq!(out_rows, rows);
+                assert!(out_vals.iter().all(|&v| v == 3.0));
+                assert_eq!(sym.len(), fill);
+                sym.reset();
+            }
+        }
     }
 
     #[test]

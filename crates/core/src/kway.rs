@@ -22,8 +22,8 @@ use crate::kernels::{hash_add_column, heap_add_column, spa_add_column};
 use crate::mem::TaskModels;
 use crate::monoid::Monoid;
 use crate::parallel::{
-    claimed_map, exclusive_prefix_sum, exclusive_prefix_sum_into, plan_ranges, split_output,
-    split_per_range, OutChunk, Scheduling,
+    claimed_map, exclusive_prefix_sum_into, plan_ranges, split_output, split_per_range, OutChunk,
+    Scheduling,
 };
 use crate::pattern::{digest_one, structures, Digest, Pattern, ScatterMap, Structure};
 use crate::sliding::sliding_add_column;
@@ -468,7 +468,7 @@ pub(crate) fn kway_numeric<T: Element, O: Monoid<Value = T>>(
     let out = if exact {
         CscMatrix::from_parts(m, n, colptr, rowidx, values)
     } else {
-        compact(m, n, &colptr, &actual, rowidx, values)
+        compact(m, n, colptr, &actual, rowidx, values)
     };
     (out, decisions)
 }
@@ -695,27 +695,34 @@ pub(crate) fn kway_scatter_speculative<T: Element, O: Monoid<Value = T>>(
     }
 }
 
-/// Squeezes out the per-column slack left by an upper-bound allocation.
+/// Squeezes out the per-column slack left by an upper-bound allocation, in
+/// place: each column's `actual[j]` entries slide down from its allocated
+/// start `colptr[j]` to the packed start, which never lies past it, and
+/// the arrays are truncated to the packed size. The buffers keep their
+/// capacity, so a recycled sink is reused by the next execution.
 fn compact<T: Element>(
     m: usize,
     n: usize,
-    alloc_colptr: &[usize],
+    mut colptr: Vec<usize>,
     actual: &[usize],
-    rowidx: Vec<u32>,
-    values: Vec<T>,
+    mut rowidx: Vec<u32>,
+    mut values: Vec<T>,
 ) -> CscMatrix<T> {
-    let colptr = exclusive_prefix_sum(actual);
-    let nnz = *colptr.last().unwrap();
-    let mut new_rows = vec![0u32; nnz];
-    let mut new_vals = vec![T::default(); nnz];
+    let mut dst = 0usize;
     for j in 0..n {
-        let src = alloc_colptr[j];
-        let dst = colptr[j];
+        let src = colptr[j];
         let len = actual[j];
-        new_rows[dst..dst + len].copy_from_slice(&rowidx[src..src + len]);
-        new_vals[dst..dst + len].copy_from_slice(&values[src..src + len]);
+        colptr[j] = dst;
+        if src != dst {
+            rowidx.copy_within(src..src + len, dst);
+            values.copy_within(src..src + len, dst);
+        }
+        dst += len;
     }
-    CscMatrix::from_parts(m, n, colptr, new_rows, new_vals)
+    colptr[n] = dst;
+    rowidx.truncate(dst);
+    values.truncate(dst);
+    CscMatrix::from_parts(m, n, colptr, rowidx, values)
 }
 
 #[cfg(test)]

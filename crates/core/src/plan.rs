@@ -263,12 +263,13 @@ impl<T: Element, O: Monoid<Value = T>> SpkAddPlan<T, O> {
     /// the new result, and reports the symbolic/numeric phase split (the
     /// series of Fig 4) and the pattern-cache outcome.
     ///
-    /// The exact k-way path (heap/SPA/hash/sliding with a counting
-    /// symbolic phase — every default configuration) reuses the sink's
+    /// The k-way path (heap/SPA/hash/sliding) reuses the sink's
     /// capacity, so steady-shape repeat executions allocate no output
-    /// memory either; the 2-way/library algorithms and the `UpperBound`
-    /// compaction path build their output internally and gain only the
-    /// workspace reuse. With a pattern cache this is the full
+    /// memory either. That includes the `UpperBound` symbolic strategy
+    /// and filtering monoids, whose numeric phase writes into upper-bound
+    /// windows and compacts them in place. The 2-way/library algorithms
+    /// build their output internally and gain only the workspace reuse.
+    /// With a pattern cache this is the full
     /// steady-state combination: recycled output buffers *and* a skipped
     /// symbolic phase. On error the sink is left empty. To time a fresh
     /// output, pass an empty sink (`CscMatrix::zeros(0, 0)`).

@@ -693,11 +693,28 @@ fn auto_falls_back_to_hash_on_unsorted_pairs_with_the_cache_on() {
 /// fingerprint sweep runs in parallel, which a guess requires.
 const WIDE: usize = 6 * 1400;
 
+/// `copies` copies of `m` side by side, columns copied unchanged.
+fn repeat_columns(m: &CscMatrix<f64>, copies: usize) -> CscMatrix<f64> {
+    let nnz = m.nnz();
+    let colptr: Vec<usize> = (0..copies)
+        .flat_map(|c| m.colptr()[..m.ncols()].iter().map(move |&p| p + c * nnz))
+        .chain([copies * nnz])
+        .collect();
+    CscMatrix::try_new(
+        m.nrows(),
+        m.ncols() * copies,
+        colptr,
+        m.rowidx().repeat(copies),
+        m.values().repeat(copies),
+    )
+    .unwrap()
+}
+
 /// [`tricky_collection`] repeated side by side, [`WIDE`] columns wide.
 fn wide_tricky_collection(unsorted_dups: bool) -> Vec<CscMatrix<f64>> {
     tricky_collection(unsorted_dups)
         .iter()
-        .map(|m| CscMatrix::hstack(&vec![m; WIDE / 6]).unwrap())
+        .map(|m| repeat_columns(m, WIDE / 6))
         .collect()
 }
 

@@ -5,7 +5,10 @@
 
 use spk_gen::{generate_collection, Pattern};
 use spk_sparse::CscMatrix;
-use spkadd::{spkadd_with, Algorithm, Options, SpkAdd, SpkaddError};
+use spkadd::{
+    spkadd_with, Algorithm, Monoid, Options, Plus, SpkAdd, SpkaddError, SymbolicStrategy,
+    ThresholdedPlus,
+};
 
 const ROWS: usize = 48;
 const COLS: usize = 12;
@@ -149,6 +152,65 @@ fn steady_state_executes_with_zero_workspace_allocations() {
         );
         assert_eq!(plan.executions(), 6);
     }
+}
+
+/// Executes Hash with `opts` and `monoid` twice into one sink at a steady
+/// shape: the second execution must refill the sink's own buffers, and
+/// both must equal a fresh plan's one-shot result.
+fn compacting_execution_refills_the_sink<O: Monoid<Value = f64>>(
+    opts: Options,
+    monoid: O,
+    label: &str,
+) {
+    let mats = generate_collection(Pattern::Er, ROWS, COLS, 6, 5, 17);
+    let refs: Vec<&CscMatrix<f64>> = mats.iter().collect();
+    let build = || {
+        SpkAdd::new(ROWS, COLS)
+            .algorithm(Algorithm::Hash)
+            .options(opts.clone())
+            .threads(1)
+            .build_with_monoid::<f64, O>(monoid)
+            .unwrap()
+    };
+    let expect = build().execute(&refs).unwrap();
+    let upper_bound: usize = mats.iter().map(|m| m.nnz()).sum();
+    assert!(expect.nnz() < upper_bound, "{label}: nothing to compact");
+
+    let mut plan = build();
+    let mut sink = CscMatrix::zeros(0, 0);
+    plan.execute_into_timed(&refs, &mut sink).unwrap();
+    assert_eq!(sink, expect, "{label}: first execution");
+    let ptrs = (
+        sink.colptr().as_ptr(),
+        sink.rowidx().as_ptr(),
+        sink.values().as_ptr(),
+    );
+    plan.execute_into_timed(&refs, &mut sink).unwrap();
+    assert_eq!(sink, expect, "{label}: repeat execution");
+    assert_eq!(
+        (
+            sink.colptr().as_ptr(),
+            sink.rowidx().as_ptr(),
+            sink.values().as_ptr(),
+        ),
+        ptrs,
+        "{label}: the compacting path must reuse the sink's buffers"
+    );
+}
+
+#[test]
+fn compacting_executions_reuse_the_sink() {
+    let upper = Options {
+        symbolic: SymbolicStrategy::UpperBound,
+        ..Options::default()
+    };
+    compacting_execution_refills_the_sink(upper, Plus::new(), "UpperBound");
+    // A filtering monoid demotes even exact counts to upper bounds.
+    compacting_execution_refills_the_sink(
+        Options::default(),
+        ThresholdedPlus::new(1.0),
+        "ThresholdedPlus",
+    );
 }
 
 #[test]

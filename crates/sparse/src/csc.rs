@@ -495,44 +495,6 @@ impl<T: Element> CscMatrix<T> {
         Ok(CscMatrix::from_parts(nrows, ncols, colptr, rowidx, values))
     }
 
-    /// Horizontally concatenates column slabs: the inverse of partitioning
-    /// a matrix with [`CscMatrix::slice_cols`] along contiguous column
-    /// ranges, and the column-wise mirror of [`CscMatrix::vstack`].
-    ///
-    /// All parts must share one row count; the result has `Σ ncols(part)`
-    /// columns, part `p`'s columns following those of the parts before it.
-    /// Columns are copied unchanged (only the column pointers are rebased),
-    /// so stacking sorted slabs yields sorted columns. O(Σ nnz + Σ ncols).
-    pub fn hstack(parts: &[&CscMatrix<T>]) -> Result<CscMatrix<T>, SparseError> {
-        let first = parts.first().ok_or(SparseError::EmptyCollection)?;
-        let nrows = first.nrows;
-        let mut ncols = 0usize;
-        let mut nnz = 0usize;
-        for (i, p) in parts.iter().enumerate() {
-            if p.nrows != nrows {
-                // Only the row count is constrained (see `vstack`).
-                return Err(SparseError::DimensionMismatch {
-                    expected: (nrows, p.ncols),
-                    found: p.shape(),
-                    operand: i,
-                });
-            }
-            ncols += p.ncols;
-            nnz += p.nnz();
-        }
-        let mut colptr = Vec::with_capacity(ncols + 1);
-        colptr.push(0usize);
-        let mut rowidx = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
-        for p in parts {
-            let base = rowidx.len();
-            colptr.extend(p.colptr[1..].iter().map(|&c| c + base));
-            rowidx.extend_from_slice(&p.rowidx);
-            values.extend_from_slice(&p.values);
-        }
-        Ok(CscMatrix::from_parts(nrows, ncols, colptr, rowidx, values))
-    }
-
     /// Deconstructs into the raw `(nrows, ncols, colptr, rowidx, values)`.
     pub fn into_parts(self) -> (usize, usize, Vec<usize>, Vec<u32>, Vec<T>) {
         (
@@ -989,63 +951,6 @@ mod tests {
         assert!(matches!(
             CscMatrix::vstack(&[&a, &b]),
             Err(SparseError::DimensionMismatch { operand: 1, .. })
-        ));
-    }
-
-    #[test]
-    fn hstack_inverts_col_slice_over_uneven_bounds() {
-        let m = CscMatrix::try_new(
-            3,
-            5,
-            vec![0, 2, 2, 3, 6, 7],
-            vec![0, 2, 1, 2, 0, 1, 1],
-            vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
-        )
-        .unwrap();
-        for bounds in [
-            vec![0, 5],
-            vec![0, 1, 5],
-            vec![0, 2, 3, 5],
-            vec![0, 1, 2, 4, 5],
-        ] {
-            let slabs: Vec<CscMatrix<f64>> = bounds
-                .windows(2)
-                .map(|w| m.slice_cols(w[0], w[1]))
-                .collect();
-            let refs: Vec<&CscMatrix<f64>> = slabs.iter().collect();
-            assert_eq!(CscMatrix::hstack(&refs).unwrap(), m, "bounds {bounds:?}");
-        }
-    }
-
-    #[test]
-    fn hstack_accepts_zero_width_and_empty_parts() {
-        let m = small();
-        let thin = m.slice_cols(1, 1);
-        assert_eq!(thin.shape(), (m.nrows(), 0));
-        let stacked = CscMatrix::hstack(&[&thin, &m, &thin]).unwrap();
-        assert_eq!(stacked, m);
-        let empty = CscMatrix::<f64>::zeros(m.nrows(), 2);
-        let stacked = CscMatrix::hstack(&[&empty, &m, &empty]).unwrap();
-        assert_eq!(stacked.shape(), (m.nrows(), m.ncols() + 4));
-        assert_eq!(stacked.nnz(), m.nnz());
-        assert_eq!(stacked.slice_cols(2, 2 + m.ncols()), m);
-        assert!(stacked.is_sorted());
-        let only = CscMatrix::hstack(&[&thin]).unwrap();
-        assert_eq!(only.shape(), (m.nrows(), 0));
-    }
-
-    #[test]
-    fn hstack_rejects_bad_inputs() {
-        let parts: [&CscMatrix<f64>; 0] = [];
-        assert!(matches!(
-            CscMatrix::hstack(&parts),
-            Err(SparseError::EmptyCollection)
-        ));
-        let a = CscMatrix::<f64>::zeros(3, 2);
-        let b = CscMatrix::<f64>::zeros(4, 2);
-        assert!(matches!(
-            CscMatrix::hstack(&[&a, &a, &b]),
-            Err(SparseError::DimensionMismatch { operand: 2, .. })
         ));
     }
 

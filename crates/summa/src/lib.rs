@@ -35,7 +35,7 @@ use rayon::prelude::*;
 use spk_sparse::{CscMatrix, SparseError};
 use spk_spgemm::{spgemm_hash, SpgemmOptions};
 use spkadd::parallel::{claim_each, split_output};
-use spkadd::{Algorithm, Options, SpkaddError};
+use spkadd::{Algorithm, Options, SpkaddError, SymbolicStrategy};
 use std::sync::Mutex;
 
 /// Which SpKAdd variant reduces the per-process intermediates, matching
@@ -310,6 +310,17 @@ fn assemble(blocks: &[CscMatrix<f64>], q: usize, m: usize, n: usize) -> CscMatri
 }
 
 /// Runs the simulated SUMMA product `C = A·B`.
+///
+/// Each process's reduction skips the SpKAdd symbolic pass
+/// ([`SymbolicStrategy::UpperBound`]): the `q` stage products
+/// `A(i,s)·B(s,j)` cover disjoint inner-index ranges, so one output entry
+/// folds at most `q` inputs — the compression factor is at most `q` — and
+/// sizing each output column by its input count over-allocates by at most
+/// `q×`, into no more memory than the intermediates themselves. On
+/// hypersparse blocks the compression factor is close to 1, so a counting
+/// pass would hash every entry a second time to learn almost nothing; the
+/// numeric pass writes into the upper-bound windows and compacts in place.
+/// [`run_summa_3d`]'s inter-layer reduction keeps the exact count.
 pub fn run_summa(
     a: &CscMatrix<f64>,
     b: &CscMatrix<f64>,
@@ -385,6 +396,11 @@ pub fn run_summa(
         add_opts.sorted_output = true;
         // Sortedness of the intermediates is known by construction.
         add_opts.validate_sorted = false;
+        // One pass: the q stage products tile disjoint inner ranges, so an
+        // output entry gathers at most q inputs (cf ≤ q) and the upper
+        // bound Σ_s nnz(C_s(:,j)) is within q× of the exact column size,
+        // never more than the intermediates the process already holds.
+        add_opts.symbolic = SymbolicStrategy::UpperBound;
         let alg = cfg.reduction.algorithm();
         if alg == Algorithm::Heap && !cfg.reduction.multiply_sorted() {
             return Err(SummaError::Config(
@@ -644,6 +660,48 @@ mod tests {
                     assert_eq!(report.result, direct, "{cfg:?}");
                     assert!(report.result.is_sorted(), "{cfg:?}");
                     assert_eq!(report.per_process.len(), grid * grid);
+                }
+            }
+        }
+    }
+
+    /// The compressing case of the pin above: dense-ish operands make
+    /// every stage product cover almost the whole process block, so the
+    /// reductions fold close to `q` inputs per output entry and the
+    /// upper-bound windows carry real slack for the compaction to squeeze.
+    #[test]
+    fn compressing_reductions_equal_serial_product_exactly() {
+        let small_ints = |mut m: CscMatrix<f64>| {
+            m.map_values(|v| (v * 7.0).floor() - 3.0);
+            m
+        };
+        let a = small_ints(spk_gen::er(24, 24, 24, 210));
+        let b = small_ints(spk_gen::er(24, 24, 24, 211));
+        let serial = SpgemmOptions {
+            sorted_output: true,
+            threads: 1,
+            ..Default::default()
+        };
+        let direct = spgemm_hash(&a, &b, &serial).unwrap();
+        for grid in 2..=4 {
+            let parts = process_intermediates(&a, &b, grid, true).unwrap();
+            let refs: Vec<&CscMatrix<f64>> = parts.iter().collect();
+            let sum = spkadd::spkadd_with(&refs, Algorithm::Hash, &Options::default()).unwrap();
+            let cf = CscMatrix::compression_factor(&refs, &sum);
+            assert!(cf > 0.75 * grid as f64, "grid {grid}: cf {cf}");
+            for reduction in [
+                ReductionKind::Heap,
+                ReductionKind::SortedHash,
+                ReductionKind::UnsortedHash,
+            ] {
+                for threads in [1, 3] {
+                    let cfg = SummaConfig {
+                        grid,
+                        reduction,
+                        threads,
+                    };
+                    let report = run_summa(&a, &b, &cfg).unwrap();
+                    assert_eq!(report.result, direct, "{cfg:?}");
                 }
             }
         }
