@@ -247,6 +247,17 @@ mod tests {
         }
     }
 
+    /// Sliding Hash's `(ops, bytes_total)` on the column-reversed
+    /// [`overlapping`] at a 64-entry budget: the bucketing path, which
+    /// [`GOLDEN`]'s sorted inputs never reach.
+    #[test]
+    fn bucketing_path_meters_the_golden_counters() {
+        let ms: Vec<CscMatrix<f64>> = overlapping().iter().map(reversed).collect();
+        let refs: Vec<&CscMatrix<f64>> = ms.iter().collect();
+        let (_, counters) = meter_spkadd(&refs, Algorithm::SlidingHash, 64).unwrap();
+        assert_eq!((counters.ops, counters.bytes_total()), (3381, 64572));
+    }
+
     /// Every meterable algorithm, with `(ops, bytes_total)` on
     /// [`overlapping`] at a 64-entry budget.
     const GOLDEN: [(Algorithm, u64, u64); 7] = [
