@@ -26,8 +26,7 @@ use crate::parallel::{
     Scheduling,
 };
 use crate::pattern::{digest_one, structures, Digest, Pattern, ScatterMap, Structure};
-use crate::sliding::sliding_add_column;
-use crate::spa::sliding_spa_add_column;
+use crate::sliding::{sliding_add_column, sliding_spa_add_column};
 use crate::symbolic::{DriverCtx, SymbolicStrategy};
 use crate::tuning::{ChunkProfile, ChunkScorer};
 use crate::workspace::WorkspacePool;

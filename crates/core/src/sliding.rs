@@ -1,4 +1,5 @@
-//! The sliding hash algorithm (Algorithms 7 and 8 of the paper).
+//! The sliding kernels: the paper's sliding hash (Algorithms 7 and 8) and
+//! its §IV-B(b) sliding SPA.
 //!
 //! Plain hash SpKAdd goes out of cache when the per-thread tables exceed
 //! the shared last-level cache: with `T` threads and `b` bytes per entry,
@@ -6,20 +7,28 @@
 //! in LLC on every random probe. The sliding scheme splits the row space
 //! `[0, m)` into `parts = ⌈needed·b·T / M⌉` equal ranges and runs the plain
 //! hash kernel once per range, so each table stays cache-resident and the
-//! output is produced range by range ("sliding" down the column).
+//! output is produced range by range ("sliding" down the column). The
+//! sliding SPA applies the same scheme to the dense accumulator: a SPA of
+//! `budget` rows, reused for `⌈m / budget⌉` panels with rows rebased to
+//! each panel's first row.
 //!
-//! Row panels are located by binary search when the input columns are
-//! sorted (the paper's method). For unsorted inputs — which plain hash
-//! accepts and sliding hash should too — a single bucketing pass scatters
-//! entries into per-part scratch buffers instead, preserving the O(nnz)
-//! per-column cost. Sortedness may be an unchecked caller promise
-//! (`validate_sorted: false`), so `search_panels` confirms it column by
-//! column before binary search is trusted.
+//! All three kernels (the hash symbolic, the hash numeric and the SPA
+//! numeric) keep a one-panel fast path that is the plain kernel, and walk
+//! their panels through one function, `for_each_panel`, which owns the
+//! panel bounds and how a panel is found. Row panels are located by
+//! binary search when the input columns are sorted (the paper's method).
+//! For unsorted inputs — which plain hash accepts and sliding hash should
+//! too — a single bucketing pass scatters entries into per-part scratch
+//! buffers instead, preserving the O(nnz) per-column cost. Sortedness may
+//! be an unchecked caller promise (`validate_sorted: false`), so
+//! `search_panels` confirms it column by column before binary search is
+//! trusted.
 
 use crate::hashtab::{HashAccumulator, SymbolicHashTable};
 use crate::kernels::{hash_add_column, hash_symbolic_column};
 use crate::mem::MemModel;
 use crate::monoid::Monoid;
+use crate::spa::Spa;
 use spk_sparse::{ColView, Element};
 
 /// Per-thread hash-table budget in *entries*, derived from the machine
@@ -62,24 +71,6 @@ impl<T: Element> SlidingScratch<T> {
             self.vals[p].clear();
         }
     }
-
-    /// Clears and sizes the scratch for `parts` buckets (for kernels
-    /// outside this module, e.g. the sliding SPA).
-    pub fn prepare_parts(&mut self, parts: usize) {
-        self.prepare(parts);
-    }
-
-    /// Appends one entry to bucket `p`.
-    #[inline]
-    pub fn push(&mut self, p: usize, r: u32, v: T) {
-        self.rows[p].push(r);
-        self.vals[p].push(v);
-    }
-
-    /// Borrow bucket `p` as parallel slices.
-    pub fn part(&self, p: usize) -> (&[u32], &[T]) {
-        (&self.rows[p], &self.vals[p])
-    }
 }
 
 /// Whether binary search may carve row panels out of `cols`: the inputs
@@ -90,7 +81,7 @@ impl<T: Element> SlidingScratch<T> {
 /// one streaming compare over the row indices; columns that fail it are
 /// bucketed, which is correct for any order.
 #[inline]
-pub(crate) fn search_panels<T>(inputs_sorted: bool, cols: &[ColView<'_, T>]) -> bool {
+fn search_panels<T>(inputs_sorted: bool, cols: &[ColView<'_, T>]) -> bool {
     inputs_sorted && cols.iter().all(|c| c.rows.is_sorted())
 }
 
@@ -98,6 +89,55 @@ pub(crate) fn search_panels<T>(inputs_sorted: bool, cols: &[ColView<'_, T>]) -> 
 #[inline]
 fn panel_bound(i: usize, parts: usize, m: usize) -> u32 {
     ((i as u64 * m as u64) / parts as u64) as u32
+}
+
+/// The panel loop of Algorithms 7 and 8, shared by the three sliding
+/// kernels: walks `cols` in `parts` row panels tiling `[0, m)` and calls
+/// `panel(views, first_row)` once per panel, in ascending row order.
+/// Sorted columns are cut by binary search into one view per input
+/// column; otherwise (see [`search_panels`]) one bucketing pass copies
+/// the entries into `scratch`, and each panel is one view of its bucket,
+/// in input order.
+fn for_each_panel<T: Element>(
+    cols: &[ColView<'_, T>],
+    m: usize,
+    parts: usize,
+    inputs_sorted: bool,
+    scratch: &mut SlidingScratch<T>,
+    mut panel: impl FnMut(&[ColView<'_, T>], u32),
+) {
+    let bounds: Vec<u32> = (0..=parts).map(|i| panel_bound(i, parts, m)).collect();
+    if search_panels(inputs_sorted, cols) {
+        let mut sub: Vec<ColView<'_, T>> = Vec::with_capacity(cols.len());
+        for w in bounds.windows(2) {
+            sub.clear();
+            sub.extend(cols.iter().map(|c| c.row_range(w[0], w[1])));
+            panel(&sub, w[0]);
+        }
+    } else {
+        scratch.prepare(parts);
+        for col in cols {
+            for (r, v) in col.iter() {
+                let p = bounds.partition_point(|&b| b <= r) - 1;
+                scratch.rows[p].push(r);
+                scratch.vals[p].push(v);
+            }
+        }
+        for (p, &r1) in bounds[..parts].iter().enumerate() {
+            let view = ColView {
+                rows: &scratch.rows[p],
+                vals: &scratch.vals[p],
+            };
+            panel(&[view], r1);
+        }
+    }
+}
+
+/// The paper's budget semantics for one panel's table: allocate at most
+/// `budget` entries; a panel with more distinct rows grows on demand.
+#[inline]
+fn panel_table_entries<T: Element>(panel: &[ColView<'_, T>], budget: usize) -> usize {
+    panel.iter().map(|c| c.nnz()).sum::<usize>().min(budget)
 }
 
 /// Sliding-hash symbolic phase for one column (Algorithm 7): counts
@@ -122,38 +162,10 @@ pub fn sliding_symbolic_column<T: Element, M: MemModel>(
         return hash_symbolic_column(cols, ht, mem);
     }
     let mut nz = 0usize;
-    if search_panels(inputs_sorted, cols) {
-        let mut sub: Vec<ColView<'_, T>> = Vec::with_capacity(cols.len());
-        for i in 0..parts {
-            let r1 = panel_bound(i, parts, m);
-            let r2 = panel_bound(i + 1, parts, m);
-            sub.clear();
-            sub.extend(cols.iter().map(|c| c.row_range(r1, r2)));
-            let panel_inz: usize = sub.iter().map(|c| c.nnz()).sum();
-            // The paper's budget semantics: allocate at most `budget`
-            // entries; a panel with more distinct rows grows on demand.
-            ht.reserve_for(panel_inz.min(budget));
-            nz += hash_symbolic_column(&sub, ht, mem);
-        }
-    } else {
-        scratch.prepare(parts);
-        let bounds: Vec<u32> = (0..=parts).map(|i| panel_bound(i, parts, m)).collect();
-        for col in cols {
-            for (r, v) in col.iter() {
-                let p = bounds.partition_point(|&b| b <= r) - 1;
-                scratch.rows[p].push(r);
-                scratch.vals[p].push(v);
-            }
-        }
-        for p in 0..parts {
-            let view = [ColView {
-                rows: &scratch.rows[p],
-                vals: &scratch.vals[p],
-            }];
-            ht.reserve_for(scratch.rows[p].len().min(budget));
-            nz += hash_symbolic_column(&view, ht, mem);
-        }
-    }
+    for_each_panel(cols, m, parts, inputs_sorted, scratch, |panel, _| {
+        ht.reserve_for(panel_table_entries(panel, budget));
+        nz += hash_symbolic_column(panel, ht, mem);
+    });
     nz
 }
 
@@ -188,56 +200,67 @@ pub fn sliding_add_column<T: Element, O: Monoid<Value = T>, M: MemModel>(
         return hash_add_column(cols, ht, out_rows, out_vals, sorted, monoid, mem);
     }
     let mut written = 0usize;
-    if search_panels(inputs_sorted, cols) {
-        let mut sub: Vec<ColView<'_, T>> = Vec::with_capacity(cols.len());
-        for i in 0..parts {
-            let r1 = panel_bound(i, parts, m);
-            let r2 = panel_bound(i + 1, parts, m);
-            sub.clear();
-            sub.extend(cols.iter().map(|c| c.row_range(r1, r2)));
-            let panel_inz: usize = sub.iter().map(|c| c.nnz()).sum();
-            ht.reserve_for(panel_inz.min(budget));
-            written += hash_add_column(
-                &sub,
-                ht,
-                &mut out_rows[written..],
-                &mut out_vals[written..],
-                sorted,
-                monoid,
-                mem,
-            );
-        }
-    } else {
-        scratch.prepare(parts);
-        let bounds: Vec<u32> = (0..=parts).map(|i| panel_bound(i, parts, m)).collect();
-        for col in cols {
-            for (r, v) in col.iter() {
-                let p = bounds.partition_point(|&b| b <= r) - 1;
-                scratch.rows[p].push(r);
-                scratch.vals[p].push(v);
-            }
-        }
-        for p in 0..parts {
-            let view = [ColView {
-                rows: &scratch.rows[p],
-                vals: &scratch.vals[p],
-            }];
-            ht.reserve_for(scratch.rows[p].len().min(budget));
-            written += hash_add_column(
-                &view,
-                ht,
-                &mut out_rows[written..],
-                &mut out_vals[written..],
-                sorted,
-                monoid,
-                mem,
-            );
-        }
-    }
+    for_each_panel(cols, m, parts, inputs_sorted, scratch, |panel, _| {
+        ht.reserve_for(panel_table_entries(panel, budget));
+        let (rows, vals) = (&mut out_rows[written..], &mut out_vals[written..]);
+        written += hash_add_column(panel, ht, rows, vals, sorted, monoid, mem);
+    });
     debug_assert!(if O::MAY_FILTER {
         written <= onz
     } else {
         written == onz
+    });
+    written
+}
+
+/// Sliding (row-partitioned) SPA addition for one column — the paper's
+/// §IV-B(b) suggestion: "the benefits of sliding hash can also be
+/// observed in the SPA algorithm if we partition the SPA array based on
+/// row indices".
+///
+/// The dense accumulator covers only `budget_rows` rows at a time; the
+/// row space is swept in `⌈m / budget_rows⌉` panels, each using the same
+/// cache-resident SPA segment with indices rebased to the panel. Requires
+/// `spa.num_rows() ≥ min(m, budget_rows)`. Duplicate rows fold with
+/// `monoid`.
+#[allow(clippy::too_many_arguments)]
+pub fn sliding_spa_add_column<T: Element, O: Monoid<Value = T>, M: MemModel>(
+    cols: &[ColView<'_, T>],
+    m: usize,
+    budget_rows: usize,
+    spa: &mut Spa<T>,
+    out_rows: &mut [u32],
+    out_vals: &mut [T],
+    sorted: bool,
+    inputs_sorted: bool,
+    monoid: O,
+    scratch: &mut SlidingScratch<T>,
+    mem: &mut M,
+) -> usize {
+    let parts = num_parts(m, budget_rows);
+    if parts == 1 {
+        for col in cols {
+            for (r, v) in col.iter() {
+                spa.scatter_combine(r, v, monoid, mem);
+            }
+        }
+        return spa.drain_into(out_rows, out_vals, sorted, monoid, mem);
+    }
+    debug_assert!(spa.num_rows() >= budget_rows);
+    let mut written = 0usize;
+    for_each_panel(cols, m, parts, inputs_sorted, scratch, |panel, r1| {
+        for col in panel {
+            for (r, v) in col.iter() {
+                spa.scatter_combine(r - r1, v, monoid, mem);
+            }
+        }
+        let (rows, vals) = (&mut out_rows[written..], &mut out_vals[written..]);
+        let n = spa.drain_into(rows, vals, sorted, monoid, mem);
+        // Rebase panel-local rows to global indices.
+        for slot in &mut rows[..n] {
+            *slot += r1;
+        }
+        written += n;
     });
     written
 }
@@ -435,5 +458,87 @@ mod tests {
         for i in 0..parts {
             assert!(panel_bound(i, parts, m) <= panel_bound(i + 1, parts, m));
         }
+    }
+
+    #[test]
+    fn sliding_spa_matches_plain_spa() {
+        let m = 64usize;
+        let r1: Vec<u32> = (0..64).step_by(2).collect();
+        let v1 = vec![1.0f64; r1.len()];
+        let r2: Vec<u32> = (0..64).step_by(3).collect();
+        let v2 = vec![2.0f64; r2.len()];
+        let cols = vec![
+            ColView {
+                rows: &r1,
+                vals: &v1,
+            },
+            ColView {
+                rows: &r2,
+                vals: &v2,
+            },
+        ];
+        let mut mem = NullModel;
+        // Plain SPA reference.
+        let mut plain = Spa::<f64>::new(m);
+        let mut ref_rows = vec![0u32; 64];
+        let mut ref_vals = vec![0.0f64; 64];
+        for col in &cols {
+            for (r, v) in col.iter() {
+                plain.scatter_combine(r, v, Plus::new(), &mut mem);
+            }
+        }
+        let n_ref = plain.drain_into(&mut ref_rows, &mut ref_vals, true, Plus::new(), &mut mem);
+
+        // Sliding SPA with an 8-row panel, both panelling paths.
+        let mut scratch = SlidingScratch::new();
+        for inputs_sorted in [true, false] {
+            let mut spa = Spa::<f64>::new(8);
+            let mut rows = vec![0u32; n_ref];
+            let mut vals = vec![0.0f64; n_ref];
+            let n = sliding_spa_add_column(
+                &cols,
+                m,
+                8,
+                &mut spa,
+                &mut rows,
+                &mut vals,
+                true,
+                inputs_sorted,
+                Plus::new(),
+                &mut scratch,
+                &mut mem,
+            );
+            assert_eq!(n, n_ref, "sorted={inputs_sorted}");
+            assert_eq!(&rows[..], &ref_rows[..n_ref]);
+            assert_eq!(&vals[..], &ref_vals[..n_ref]);
+        }
+    }
+
+    #[test]
+    fn sliding_spa_single_panel_fallback() {
+        let rows_in: Vec<u32> = vec![1, 5, 9];
+        let vals_in = vec![1.0f64, 2.0, 3.0];
+        let cols = vec![ColView {
+            rows: &rows_in,
+            vals: &vals_in,
+        }];
+        let mut spa = Spa::<f64>::new(16);
+        let mut rows = vec![0u32; 3];
+        let mut vals = vec![0.0f64; 3];
+        let n = sliding_spa_add_column(
+            &cols,
+            16,
+            1 << 20,
+            &mut spa,
+            &mut rows,
+            &mut vals,
+            true,
+            true,
+            Plus::new(),
+            &mut SlidingScratch::new(),
+            &mut NullModel,
+        );
+        assert_eq!(n, 3);
+        assert_eq!(rows, vec![1, 5, 9]);
     }
 }

@@ -11,7 +11,7 @@
 
 use crate::mem::MemModel;
 use crate::monoid::Monoid;
-use spk_sparse::{ColView, Element};
+use spk_sparse::Element;
 
 /// Thread-private sparse accumulator over `m` rows.
 #[derive(Debug, Clone)]
@@ -172,100 +172,6 @@ impl<T: Element> Spa<T> {
     }
 }
 
-/// Sliding (row-partitioned) SPA addition for one column — the paper's
-/// §IV-B(b) suggestion: "the benefits of sliding hash can also be
-/// observed in the SPA algorithm if we partition the SPA array based on
-/// row indices".
-///
-/// The dense accumulator covers only `budget_rows` rows at a time; the
-/// row space is swept in `⌈m / budget_rows⌉` panels, each using the same
-/// cache-resident SPA segment with indices rebased to the panel. Requires
-/// `spa.num_rows() ≥ min(m, budget_rows)`. Sorted inputs use binary-search
-/// panelling; unsorted inputs, including columns that break an unchecked
-/// sortedness promise (`sliding::search_panels`), use the shared
-/// bucketing scratch. Duplicate rows fold with `monoid`.
-#[allow(clippy::too_many_arguments)]
-pub fn sliding_spa_add_column<T: Element, O: Monoid<Value = T>, M: MemModel>(
-    cols: &[ColView<'_, T>],
-    m: usize,
-    budget_rows: usize,
-    spa: &mut Spa<T>,
-    out_rows: &mut [u32],
-    out_vals: &mut [T],
-    sorted: bool,
-    inputs_sorted: bool,
-    monoid: O,
-    scratch: &mut crate::sliding::SlidingScratch<T>,
-    mem: &mut M,
-) -> usize {
-    let budget_rows = budget_rows.max(1);
-    let parts = m.div_ceil(budget_rows).max(1);
-    if parts == 1 {
-        let mut written = 0usize;
-        for col in cols {
-            for (r, v) in col.iter() {
-                spa.scatter_combine(r, v, monoid, mem);
-            }
-        }
-        written += spa.drain_into(out_rows, out_vals, sorted, monoid, mem);
-        return written;
-    }
-    debug_assert!(spa.num_rows() >= budget_rows);
-    let mut written = 0usize;
-    if crate::sliding::search_panels(inputs_sorted, cols) {
-        for p in 0..parts {
-            let r1 = ((p as u64 * m as u64) / parts as u64) as u32;
-            let r2 = (((p + 1) as u64 * m as u64) / parts as u64) as u32;
-            for col in cols {
-                for (r, v) in col.row_range(r1, r2).iter() {
-                    spa.scatter_combine(r - r1, v, monoid, mem);
-                }
-            }
-            let n = spa.drain_into(
-                &mut out_rows[written..],
-                &mut out_vals[written..],
-                sorted,
-                monoid,
-                mem,
-            );
-            // Rebase panel-local rows to global indices.
-            for slot in &mut out_rows[written..written + n] {
-                *slot += r1;
-            }
-            written += n;
-        }
-    } else {
-        scratch.prepare_parts(parts);
-        let bounds: Vec<u32> = (0..=parts)
-            .map(|i| ((i as u64 * m as u64) / parts as u64) as u32)
-            .collect();
-        for col in cols {
-            for (r, v) in col.iter() {
-                let p = bounds.partition_point(|&b| b <= r) - 1;
-                scratch.push(p, r, v);
-            }
-        }
-        for (p, &r1) in bounds[..parts].iter().enumerate() {
-            let (rows, vals) = scratch.part(p);
-            for (r, v) in rows.iter().zip(vals) {
-                spa.scatter_combine(*r - r1, *v, monoid, mem);
-            }
-            let n = spa.drain_into(
-                &mut out_rows[written..],
-                &mut out_vals[written..],
-                sorted,
-                monoid,
-                mem,
-            );
-            for slot in &mut out_rows[written..written + n] {
-                *slot += r1;
-            }
-            written += n;
-        }
-    }
-    written
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,90 +234,6 @@ mod tests {
         spa.scatter_combine(0, 9.0, Plus::new(), &mut mem);
         spa.drain_into(&mut rows, &mut vals, true, Plus::new(), &mut mem);
         assert_eq!(vals[0], 9.0);
-    }
-
-    #[test]
-    fn sliding_spa_matches_plain_spa() {
-        use crate::sliding::SlidingScratch;
-        let m = 64usize;
-        let r1: Vec<u32> = (0..64).step_by(2).collect();
-        let v1 = vec![1.0f64; r1.len()];
-        let r2: Vec<u32> = (0..64).step_by(3).collect();
-        let v2 = vec![2.0f64; r2.len()];
-        let cols = vec![
-            ColView {
-                rows: &r1,
-                vals: &v1,
-            },
-            ColView {
-                rows: &r2,
-                vals: &v2,
-            },
-        ];
-        let mut mem = NullModel;
-        // Plain SPA reference.
-        let mut plain = Spa::<f64>::new(m);
-        let mut ref_rows = vec![0u32; 64];
-        let mut ref_vals = vec![0.0f64; 64];
-        for col in &cols {
-            for (r, v) in col.iter() {
-                plain.scatter_combine(r, v, Plus::new(), &mut mem);
-            }
-        }
-        let n_ref = plain.drain_into(&mut ref_rows, &mut ref_vals, true, Plus::new(), &mut mem);
-
-        // Sliding SPA with an 8-row panel, both panelling paths.
-        let mut scratch = SlidingScratch::new();
-        for inputs_sorted in [true, false] {
-            let mut spa = Spa::<f64>::new(8);
-            let mut rows = vec![0u32; n_ref];
-            let mut vals = vec![0.0f64; n_ref];
-            let n = sliding_spa_add_column(
-                &cols,
-                m,
-                8,
-                &mut spa,
-                &mut rows,
-                &mut vals,
-                true,
-                inputs_sorted,
-                Plus::new(),
-                &mut scratch,
-                &mut mem,
-            );
-            assert_eq!(n, n_ref, "sorted={inputs_sorted}");
-            assert_eq!(&rows[..], &ref_rows[..n_ref]);
-            assert_eq!(&vals[..], &ref_vals[..n_ref]);
-        }
-    }
-
-    #[test]
-    fn sliding_spa_single_panel_fallback() {
-        use crate::sliding::SlidingScratch;
-        let rows_in: Vec<u32> = vec![1, 5, 9];
-        let vals_in = vec![1.0f64, 2.0, 3.0];
-        let cols = vec![ColView {
-            rows: &rows_in,
-            vals: &vals_in,
-        }];
-        let mut spa = Spa::<f64>::new(16);
-        let mut rows = vec![0u32; 3];
-        let mut vals = vec![0.0f64; 3];
-        let n = sliding_spa_add_column(
-            &cols,
-            16,
-            1 << 20,
-            &mut spa,
-            &mut rows,
-            &mut vals,
-            true,
-            true,
-            Plus::new(),
-            &mut SlidingScratch::new(),
-            &mut NullModel,
-        );
-        assert_eq!(n, 3);
-        assert_eq!(rows, vec![1, 5, 9]);
     }
 
     #[test]
