@@ -21,7 +21,7 @@ use spk_sparse::{ColView, Element};
 /// I/O accounting: every nonzero is read from memory exactly once in the
 /// k-way algorithms).
 #[inline(always)]
-fn stream_column<T: Element, M: MemModel>(col: &ColView<'_, T>, mem: &mut M) {
+pub(crate) fn stream_column<T: Element, M: MemModel>(col: &ColView<'_, T>, mem: &mut M) {
     // One read event per array; byte counts capture the streamed volume.
     if !col.rows.is_empty() {
         mem.read(col.rows.as_ptr() as usize, col.rows.len() * 4);

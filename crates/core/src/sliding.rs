@@ -25,7 +25,7 @@
 //! trusted.
 
 use crate::hashtab::{HashAccumulator, SymbolicHashTable};
-use crate::kernels::{hash_add_column, hash_symbolic_column};
+use crate::kernels::{hash_add_column, hash_symbolic_column, spa_add_column, stream_column};
 use crate::mem::MemModel;
 use crate::monoid::Monoid;
 use crate::spa::Spa;
@@ -239,17 +239,13 @@ pub fn sliding_spa_add_column<T: Element, O: Monoid<Value = T>, M: MemModel>(
 ) -> usize {
     let parts = num_parts(m, budget_rows);
     if parts == 1 {
-        for col in cols {
-            for (r, v) in col.iter() {
-                spa.scatter_combine(r, v, monoid, mem);
-            }
-        }
-        return spa.drain_into(out_rows, out_vals, sorted, monoid, mem);
+        return spa_add_column(cols, spa, out_rows, out_vals, sorted, monoid, mem);
     }
     debug_assert!(spa.num_rows() >= budget_rows);
     let mut written = 0usize;
     for_each_panel(cols, m, parts, inputs_sorted, scratch, |panel, r1| {
         for col in panel {
+            stream_column(col, mem);
             for (r, v) in col.iter() {
                 spa.scatter_combine(r - r1, v, monoid, mem);
             }
