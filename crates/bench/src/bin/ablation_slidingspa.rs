@@ -7,6 +7,10 @@
 //! O(m)-per-thread array falls out of cache as m grows, which is exactly
 //! when partitioning pays.
 //!
+//! It is also a check: every k-way kernel folds duplicate rows in
+//! operand order, so each algorithm's output must equal SPA's bit for
+//! bit, and the harness panics if one differs.
+//!
 //! Usage: `cargo run --release -p spk_bench --bin ablation_slidingspa
 //! [--cols C] [--d D] [--k K] [--threads T] [--reps N]`
 
@@ -53,7 +57,7 @@ fn main() {
             let (out, secs) = time_best(reps, || plan.execute(&mrefs).expect("spkadd failed"));
             match &reference {
                 None => reference = Some(out),
-                Some(r) => assert!(out.approx_eq(r, 1e-9), "{alg} diverged"),
+                Some(r) => assert!(out == *r, "{alg} differs from SPA at 2^{shift} rows"),
             }
             row.push(fmt_secs(secs));
         }
