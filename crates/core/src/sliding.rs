@@ -97,14 +97,16 @@ fn panel_bound(i: usize, parts: usize, m: usize) -> u32 {
 /// Sorted columns are cut by binary search into one view per input
 /// column; otherwise (see [`search_panels`]) one bucketing pass copies
 /// the entries into `scratch`, and each panel is one view of its bucket,
-/// in input order.
+/// in input order. `panel` is a `dyn` closure, so the walk is built once
+/// per element type, not once per kernel (see DESIGN.md, "Driver
+/// plumbing, and what codegen placement allows").
 fn for_each_panel<T: Element>(
     cols: &[ColView<'_, T>],
     m: usize,
     parts: usize,
     inputs_sorted: bool,
     scratch: &mut SlidingScratch<T>,
-    mut panel: impl FnMut(&[ColView<'_, T>], u32),
+    panel: &mut dyn FnMut(&[ColView<'_, T>], u32),
 ) {
     let bounds: Vec<u32> = (0..=parts).map(|i| panel_bound(i, parts, m)).collect();
     if search_panels(inputs_sorted, cols) {
@@ -162,7 +164,7 @@ pub fn sliding_symbolic_column<T: Element, M: MemModel>(
         return hash_symbolic_column(cols, ht, mem);
     }
     let mut nz = 0usize;
-    for_each_panel(cols, m, parts, inputs_sorted, scratch, |panel, _| {
+    for_each_panel(cols, m, parts, inputs_sorted, scratch, &mut |panel, _| {
         ht.reserve_for(panel_table_entries(panel, budget));
         nz += hash_symbolic_column(panel, ht, mem);
     });
@@ -200,7 +202,7 @@ pub fn sliding_add_column<T: Element, O: Monoid<Value = T>, M: MemModel>(
         return hash_add_column(cols, ht, out_rows, out_vals, sorted, monoid, mem);
     }
     let mut written = 0usize;
-    for_each_panel(cols, m, parts, inputs_sorted, scratch, |panel, _| {
+    for_each_panel(cols, m, parts, inputs_sorted, scratch, &mut |panel, _| {
         ht.reserve_for(panel_table_entries(panel, budget));
         let (rows, vals) = (&mut out_rows[written..], &mut out_vals[written..]);
         written += hash_add_column(panel, ht, rows, vals, sorted, monoid, mem);
@@ -222,7 +224,9 @@ pub fn sliding_add_column<T: Element, O: Monoid<Value = T>, M: MemModel>(
 /// row space is swept in `⌈m / budget_rows⌉` panels, each using the same
 /// cache-resident SPA segment with indices rebased to the panel. Requires
 /// `spa.num_rows() ≥ min(m, budget_rows)`. Duplicate rows fold with
-/// `monoid`.
+/// `monoid`. One panel is [`spa_add_column`] itself; with more, each
+/// panel's views are streamed into `mem` as that kernel streams its
+/// input columns, so both meter the same input traffic.
 #[allow(clippy::too_many_arguments)]
 pub fn sliding_spa_add_column<T: Element, O: Monoid<Value = T>, M: MemModel>(
     cols: &[ColView<'_, T>],
@@ -243,7 +247,7 @@ pub fn sliding_spa_add_column<T: Element, O: Monoid<Value = T>, M: MemModel>(
     }
     debug_assert!(spa.num_rows() >= budget_rows);
     let mut written = 0usize;
-    for_each_panel(cols, m, parts, inputs_sorted, scratch, |panel, r1| {
+    for_each_panel(cols, m, parts, inputs_sorted, scratch, &mut |panel, r1| {
         for col in panel {
             stream_column(col, mem);
             for (r, v) in col.iter() {
