@@ -18,7 +18,9 @@
 //! against recomputation and is tuned in wall-clock terms by the LLC
 //! budget heuristic (covered by the `adaptive_selection` bench); at a
 //! single window the two siblings are the same algorithm and differ
-//! only in emission bookkeeping. A prediction agrees when the best
+//! only in emission bookkeeping; one-panel Sliding SPA is the SPA
+//! kernel itself and meters SPA's exact work and bytes (the metered
+//! `sliding_spa_meters_like_spa` test). A prediction agrees when the best
 //! simulated member of its family is within 10% of the per-chunk miss
 //! floor.
 //!

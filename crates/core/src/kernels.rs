@@ -6,8 +6,10 @@
 //! [`Plus::new()`](crate::monoid::Plus::new) for the paper's addition —
 //! and the symbolic kernels take none, because output structure is
 //! monoid-independent. The parallel drivers in `crate::kway` call them
-//! per column; `spk-cachesim` calls them directly to replay address
-//! streams; the metered drivers call them with a
+//! per column, and the sliding kernels in [`crate::sliding`] call the
+//! hash kernels and the SPA kernel once per row panel (the one-panel
+//! case is the plain kernel itself); `spk-cachesim` calls them directly
+//! to replay address streams; the metered drivers call them with a
 //! [`crate::mem::CountingModel`] to validate Table I.
 
 use crate::hashtab::{HashAccumulator, SymbolicHashTable};
@@ -19,7 +21,8 @@ use spk_sparse::{ColView, Element};
 
 /// Streams one input column into the model (the load half of the paper's
 /// I/O accounting: every nonzero is read from memory exactly once in the
-/// k-way algorithms).
+/// k-way algorithms, the sliding ones included: they stream each panel's
+/// views).
 #[inline(always)]
 pub(crate) fn stream_column<T: Element, M: MemModel>(col: &ColView<'_, T>, mem: &mut M) {
     // One read event per array; byte counts capture the streamed volume.
