@@ -699,7 +699,7 @@ pub(crate) fn kway_scatter_speculative<T: Element, O: Monoid<Value = T>>(
 /// start `colptr[j]` to the packed start, which never lies past it, and
 /// the arrays are truncated to the packed size. The buffers keep their
 /// capacity, so a recycled sink is reused by the next execution.
-fn compact<T: Element>(
+pub(crate) fn compact<T: Element>(
     m: usize,
     n: usize,
     mut colptr: Vec<usize>,

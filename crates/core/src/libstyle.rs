@@ -11,12 +11,12 @@
 //!   triplets, not an in-place streaming merge;
 //! * every call allocates a fresh output and canonicalizes it.
 //!
-//! That per-call overhead is precisely what the paper's incremental/tree
-//! drivers amplify k−1 times, which is why the MKL rows of Tables III/IV
-//! are uniformly the slowest.
+//! That per-call overhead is what the incremental and tree folds amplify
+//! k−1 times, which is why the MKL rows of Tables III/IV are uniformly
+//! the slowest. `LibIncremental` and `LibTree` run [`lib_add_pair`]
+//! through the fold the native 2-way algorithms use (`twoway::fold`).
 
 use crate::monoid::Monoid;
-use rayon::prelude::*;
 use spk_sparse::{CooMatrix, CscMatrix};
 
 /// One library-style 2-way addition: triplet conversion, concatenation,
@@ -66,52 +66,13 @@ pub fn lib_add_pair<T: spk_sparse::Element, O: Monoid<Value = T>>(
     CscMatrix::from_parts(m, n, out_colptr, out_rows, out_vals)
 }
 
-/// SpKAdd by incremental library calls (the paper's "MKL Incremental").
-pub fn lib_incremental<T: spk_sparse::Element, O: Monoid<Value = T>>(
-    mats: &[&CscMatrix<T>],
-    monoid: O,
-) -> CscMatrix<T> {
-    let mut acc = mats[0].clone();
-    for a in &mats[1..] {
-        acc = lib_add_pair(&acc, a, monoid);
-    }
-    acc
-}
-
-/// SpKAdd by a balanced tree of library calls (the paper's "MKL Tree").
-/// Pairs within a level run in parallel — mirroring how one would drive a
-/// thread-safe library — but each call keeps its per-call overhead.
-pub fn lib_tree<T: spk_sparse::Element, O: Monoid<Value = T>>(
-    mats: &[&CscMatrix<T>],
-    monoid: O,
-) -> CscMatrix<T> {
-    let mut level: Vec<CscMatrix<T>> = mats
-        .par_chunks(2)
-        .map(|pair| match pair {
-            [a, b] => lib_add_pair(a, b, monoid),
-            [a] => (*a).clone(),
-            _ => unreachable!(),
-        })
-        .collect();
-    while level.len() > 1 {
-        level = level
-            .par_chunks(2)
-            .map(|pair| match pair {
-                [a, b] => lib_add_pair(a, b, monoid),
-                [a] => a.clone(),
-                _ => unreachable!(),
-            })
-            .collect();
-    }
-    level.pop().expect("non-empty input collection")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mem::NullModel;
     use crate::monoid::Plus;
     use crate::parallel::Scheduling;
-    use crate::twoway;
+    use crate::{twoway, Algorithm};
 
     fn mk(cols: Vec<(Vec<u32>, Vec<f64>)>, m: usize) -> CscMatrix<f64> {
         let mut colptr = vec![0usize];
@@ -123,6 +84,10 @@ mod tests {
             colptr.push(rows.len());
         }
         CscMatrix::try_new(m, colptr.len() - 1, colptr, rows, vals).unwrap()
+    }
+
+    fn fold_plus(mats: &[&CscMatrix<f64>], alg: Algorithm) -> CscMatrix<f64> {
+        twoway::fold(mats, alg, Scheduling::default(), Plus::new(), &NullModel)
     }
 
     #[test]
@@ -139,8 +104,8 @@ mod tests {
         let a = mk(vec![(vec![0], vec![1.0])], 3);
         let b = mk(vec![(vec![1], vec![2.0])], 3);
         let c = mk(vec![(vec![0, 2], vec![4.0, 8.0])], 3);
-        let inc = lib_incremental(&[&a, &b, &c], Plus::new());
-        let tree = lib_tree(&[&a, &b, &c], Plus::new());
+        let inc = fold_plus(&[&a, &b, &c], Algorithm::LibIncremental);
+        let tree = fold_plus(&[&a, &b, &c], Algorithm::LibTree);
         assert!(inc.approx_eq(&tree, 1e-12));
         assert_eq!(inc.get(0, 0).unwrap(), 5.0);
     }
@@ -148,7 +113,7 @@ mod tests {
     #[test]
     fn single_matrix_passthrough() {
         let a = mk(vec![(vec![2], vec![7.0])], 3);
-        assert!(lib_tree(&[&a], Plus::new()).approx_eq(&a, 0.0));
-        assert!(lib_incremental(&[&a], Plus::new()).approx_eq(&a, 0.0));
+        assert!(fold_plus(&[&a], Algorithm::LibTree).approx_eq(&a, 0.0));
+        assert!(fold_plus(&[&a], Algorithm::LibIncremental).approx_eq(&a, 0.0));
     }
 }

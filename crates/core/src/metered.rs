@@ -94,10 +94,7 @@ pub fn trace_spkadd<T: Scalar, M: MemModel + Send>(
             );
             out
         }
-        None if alg == Algorithm::TwoWayTree => {
-            twoway::spkadd_tree(mats, 0, ctx.sched, monoid, &models)
-        }
-        None => twoway::spkadd_incremental(mats, 0, ctx.sched, monoid, &models),
+        None => twoway::fold(mats, alg, ctx.sched, monoid, &models),
     });
     Ok(out)
 }

@@ -42,7 +42,7 @@ use crate::symbolic::{symbolic_counts, DriverCtx, SymbolicStrategy};
 use crate::tuning::{choose_algorithm, CacheConfig, ChunkScorer};
 use crate::workspace::WorkspacePool;
 use crate::{
-    libstyle, numeric_entry_bytes, twoway, Algorithm, ExecuteStats, Options, SpkaddError,
+    numeric_entry_bytes, twoway, Algorithm, ExecuteStats, Options, SpkaddError,
     SYMBOLIC_ENTRY_BYTES,
 };
 use spk_sparse::{common_shape, CscMatrix, Element, Scalar, SparseError};
@@ -566,42 +566,25 @@ impl<T: Element, O: Monoid<Value = T>> SpkAddPlan<T, O> {
                     decisions,
                 );
             }
-            // The 2-way/library folds have no separate phases: the whole
-            // fold is one numeric span.
-            let fold = |out: CscMatrix<T>, dur: std::time::Duration| {
-                (
-                    out,
-                    ExecuteStats {
-                        numeric: dur.as_secs_f64(),
-                        ..ExecuteStats::default()
-                    },
-                    Vec::new(),
-                )
-            };
             match alg {
                 Algorithm::Auto => unreachable!("resolved above"),
-                Algorithm::TwoWayIncremental => {
+                // The 2-way/library folds have no separate phases: the
+                // whole fold is one numeric span.
+                Algorithm::TwoWayIncremental
+                | Algorithm::TwoWayTree
+                | Algorithm::LibIncremental
+                | Algorithm::LibTree => {
                     let (out, dur) = spk_obs::timed("spkadd.numeric", || {
-                        twoway::spkadd_incremental(mats, 0, sched, monoid, &NullModel)
+                        twoway::fold(mats, alg, sched, monoid, &NullModel)
                     });
-                    fold(out, dur)
-                }
-                Algorithm::TwoWayTree => {
-                    let (out, dur) = spk_obs::timed("spkadd.numeric", || {
-                        twoway::spkadd_tree(mats, 0, sched, monoid, &NullModel)
-                    });
-                    fold(out, dur)
-                }
-                Algorithm::LibIncremental => {
-                    let (out, dur) = spk_obs::timed("spkadd.numeric", || {
-                        libstyle::lib_incremental(mats, monoid)
-                    });
-                    fold(out, dur)
-                }
-                Algorithm::LibTree => {
-                    let (out, dur) =
-                        spk_obs::timed("spkadd.numeric", || libstyle::lib_tree(mats, monoid));
-                    fold(out, dur)
+                    (
+                        out,
+                        ExecuteStats {
+                            numeric: dur.as_secs_f64(),
+                            ..ExecuteStats::default()
+                        },
+                        Vec::new(),
+                    )
                 }
                 Algorithm::Heap
                 | Algorithm::Spa

@@ -1,30 +1,29 @@
-//! 2-way SpKAdd: pairwise merges, incremental and tree reduction
+//! 2-way SpKAdd: pairwise merges, and the incremental and tree folds
 //! (Algorithm 1 and §II-B of the paper).
 //!
 //! The column merge is the textbook two-pointer merge of sorted
 //! `(row, value)` lists, folding equal rows with a [`Monoid`] (pass
-//! [`Plus::new()`](crate::monoid::Plus::new) for plain addition). On top
-//! of it:
+//! [`Plus::new()`](crate::monoid::Plus::new) for plain addition).
+//! [`add_pair`] runs it as one parallel 2-way addition `A + B` (count
+//! pass, prefix sum, fill pass; columns distributed by weight).
 //!
-//! * [`add_pair`] — one parallel 2-way addition `A + B` (count pass,
-//!   prefix sum, fill pass; columns distributed by weight);
-//! * `spkadd_incremental` — Alg 1: fold the collection left to right,
-//!   Θ(k²·nd) work for ER inputs because every prefix is re-streamed;
-//! * `spkadd_tree` — balanced binary reduction, Θ(k·nd·lg k) work, the
-//!   "free" improvement the paper recommends when only a 2-way primitive
-//!   is available.
-//!
-//! The plan runs the folds for [`crate::Algorithm::TwoWayIncremental`]
-//! and [`crate::Algorithm::TwoWayTree`], and [`crate::metered`] runs the
-//! same drivers under a memory model. All require sorted, duplicate-free
-//! input columns. A filtering monoid filters at every pairwise merge
-//! (DESIGN.md "Filtering caveat").
+//! `fold` runs the four 2-way algorithms for the plan and for
+//! [`crate::metered`]: Alg 1's left-to-right fold, Θ(k²·nd) work for ER
+//! inputs because every prefix is re-streamed, or the balanced tree,
+//! Θ(k·nd·lg k), the "free" improvement the paper recommends when only a
+//! 2-way primitive is available. Either repeats the native merge or the
+//! library-style pair of [`crate::libstyle`]. All require sorted,
+//! duplicate-free input columns. A filtering monoid filters at every
+//! pairwise merge (DESIGN.md "Filtering caveat").
 
+use crate::kway::compact;
+use crate::libstyle::lib_add_pair;
 use crate::mem::{MemModel, NullModel, TaskModels};
 use crate::monoid::Monoid;
 use crate::parallel::{
     exclusive_prefix_sum, plan_ranges, split_output, split_per_range, Scheduling,
 };
+use crate::Algorithm;
 use rayon::prelude::*;
 use spk_sparse::{ColView, CscMatrix, Element};
 
@@ -207,73 +206,84 @@ fn merge_pair<T: Element, O: Monoid<Value = T>>(
     }
 
     if O::MAY_FILTER {
-        // Squeeze the dropped slots out of the over-allocated windows.
-        let tight = exclusive_prefix_sum(&actual);
-        let tight_nnz = *tight.last().unwrap();
-        let mut t_rows = vec![0u32; tight_nnz];
-        let mut t_vals = vec![T::default(); tight_nnz];
-        for j in 0..n {
-            let (src, dst, len) = (colptr[j], tight[j], actual[j]);
-            t_rows[dst..dst + len].copy_from_slice(&rowidx[src..src + len]);
-            t_vals[dst..dst + len].copy_from_slice(&values[src..src + len]);
-        }
-        return CscMatrix::from_parts(a.nrows(), a.ncols(), tight, t_rows, t_vals);
+        // Squeeze out the dropped slots; a fresh result is exact-size.
+        let (m, n, colptr, mut rowidx, mut values) =
+            compact(a.nrows(), n, colptr, &actual, rowidx, values).into_parts();
+        rowidx.shrink_to_fit();
+        values.shrink_to_fit();
+        return CscMatrix::from_parts(m, n, colptr, rowidx, values);
     }
 
     CscMatrix::from_parts(a.nrows(), a.ncols(), colptr, rowidx, values)
 }
 
-/// SpKAdd by 2-way *incremental* additions (Algorithm 1): `B ← B + A_i`
-/// left to right. Quadratic in `k` for disjoint inputs.
-pub(crate) fn spkadd_incremental<T: Element, O: Monoid<Value = T>>(
+/// One 2-way addition, `A + B`: the pair primitive a [`fold`] repeats.
+type PairFn<'a, T> = dyn Fn(&CscMatrix<T>, &CscMatrix<T>) -> CscMatrix<T> + Sync + 'a;
+
+/// Runs one of the four 2-way algorithms: the left-to-right fold or the
+/// balanced tree, over the native merge or [`lib_add_pair`]. The pair
+/// primitive is a `dyn` closure, so each element type has one loop and
+/// one tree.
+pub(crate) fn fold<T: Element, O: Monoid<Value = T>>(
     mats: &[&CscMatrix<T>],
-    threads: usize,
+    alg: Algorithm,
     sched: Scheduling,
     monoid: O,
     models: &impl TaskModels,
 ) -> CscMatrix<T> {
+    let native = |a: &CscMatrix<T>, b: &CscMatrix<T>| merge_pair(a, b, 0, sched, monoid, models);
+    let library = |a: &CscMatrix<T>, b: &CscMatrix<T>| lib_add_pair(a, b, monoid);
+    let (pair, is_tree): (&PairFn<'_, T>, bool) = match alg {
+        Algorithm::TwoWayIncremental => (&native, false),
+        Algorithm::TwoWayTree => (&native, true),
+        Algorithm::LibIncremental => (&library, false),
+        Algorithm::LibTree => (&library, true),
+        Algorithm::Heap
+        | Algorithm::Spa
+        | Algorithm::Hash
+        | Algorithm::SlidingHash
+        | Algorithm::SlidingSpa
+        | Algorithm::Auto => unreachable!("{alg} is not a pairwise fold"),
+    };
+    if is_tree {
+        tree(mats, pair)
+    } else {
+        incremental(mats, pair)
+    }
+}
+
+/// Algorithm 1: adds the inputs into a running sum, left to right.
+fn incremental<T: Element>(mats: &[&CscMatrix<T>], pair: &PairFn<'_, T>) -> CscMatrix<T> {
     let mut acc = mats[0].clone();
     for a in &mats[1..] {
-        acc = merge_pair(&acc, a, threads, sched, monoid, models);
+        acc = pair(&acc, a);
     }
     acc
 }
 
-/// SpKAdd by 2-way *tree* additions: inputs at the leaves of a balanced
-/// binary tree, `⌈lg k⌉` levels, every level touching Σ nnz once.
-///
-/// Pairs within a level run in parallel: the rayon shim gives each worker
-/// one contiguous share of the pairs and runs the column-parallel merge
-/// of each pair inline on that worker. A level with a single pair runs on
-/// the caller, so its merge is column-parallel.
-pub(crate) fn spkadd_tree<T: Element, O: Monoid<Value = T>>(
-    mats: &[&CscMatrix<T>],
-    threads: usize,
-    sched: Scheduling,
-    monoid: O,
-    models: &impl TaskModels,
-) -> CscMatrix<T> {
-    // Leaf level: borrow the inputs.
-    let mut level: Vec<CscMatrix<T>> = mats
-        .par_chunks(2)
-        .map(|pair| match pair {
-            [a, b] => merge_pair(a, b, threads, sched, monoid, models),
-            [a] => (*a).clone(),
-            _ => unreachable!(),
-        })
-        .collect();
-    // Internal levels: own the intermediates.
-    while level.len() > 1 {
-        level = level
+/// The balanced tree: adds adjacent pairs level by level, `⌈lg k⌉`
+/// levels each touching Σ nnz once; a level's odd last matrix moves up
+/// unmerged. The pairs of a level run in parallel, each inline on one
+/// worker; a level with one pair runs on the caller, so a native merge
+/// there is column-parallel.
+fn tree<T: Element>(mats: &[&CscMatrix<T>], pair: &PairFn<'_, T>) -> CscMatrix<T> {
+    let mut owned: Vec<CscMatrix<T>>;
+    let mut level: Vec<&CscMatrix<T>> = mats.to_vec();
+    loop {
+        let mut next: Vec<CscMatrix<T>> = level
             .par_chunks(2)
-            .map(|pair| match pair {
-                [a, b] => merge_pair(a, b, threads, sched, monoid, models),
-                [a] => a.clone(),
+            .map(|p| match p {
+                [a, b] => pair(a, b),
+                [a] => (*a).clone(),
                 _ => unreachable!(),
             })
             .collect();
+        if next.len() <= 1 {
+            return next.pop().expect("non-empty input collection");
+        }
+        owned = next;
+        level = owned.iter().collect();
     }
-    level.pop().expect("non-empty input collection")
 }
 
 #[cfg(test)]
@@ -293,6 +303,10 @@ mod tests {
             colptr.push(rows.len());
         }
         CscMatrix::try_new(m, colptr.len() - 1, colptr, rows, vals).unwrap()
+    }
+
+    fn fold_plus(mats: &[&CscMatrix<f64>], alg: Algorithm) -> CscMatrix<f64> {
+        fold(mats, alg, Scheduling::default(), Plus::new(), &NullModel)
     }
 
     fn dense_sum(mats: &[&CscMatrix<f64>]) -> DenseMatrix<f64> {
@@ -387,8 +401,8 @@ mod tests {
         let c = mat(vec![(vec![2, 3], vec![4.0, 8.0])], 4);
         let d = mat(vec![(vec![0], vec![16.0])], 4);
         let mats = [&a, &b, &c, &d];
-        let inc = spkadd_incremental(&mats, 0, Scheduling::default(), Plus::new(), &NullModel);
-        let tree = spkadd_tree(&mats, 0, Scheduling::default(), Plus::new(), &NullModel);
+        let inc = fold_plus(&mats, Algorithm::TwoWayIncremental);
+        let tree = fold_plus(&mats, Algorithm::TwoWayTree);
         assert!(inc.approx_eq(&tree, 1e-12));
         assert_eq!(inc.get(2, 0).unwrap(), 5.0);
         assert_eq!(inc.get(0, 0).unwrap(), 17.0);
@@ -399,16 +413,10 @@ mod tests {
         let a = mat(vec![(vec![0], vec![1.0])], 2);
         let b = mat(vec![(vec![1], vec![2.0])], 2);
         let c = mat(vec![(vec![0], vec![4.0])], 2);
-        let three = spkadd_tree(
-            &[&a, &b, &c],
-            0,
-            Scheduling::default(),
-            Plus::new(),
-            &NullModel,
-        );
+        let three = fold_plus(&[&a, &b, &c], Algorithm::TwoWayTree);
         assert_eq!(three.get(0, 0).unwrap(), 5.0);
         assert_eq!(three.get(1, 0).unwrap(), 2.0);
-        let one = spkadd_tree(&[&a], 0, Scheduling::default(), Plus::new(), &NullModel);
+        let one = fold_plus(&[&a], Algorithm::TwoWayTree);
         assert!(one.approx_eq(&a, 0.0));
     }
 
