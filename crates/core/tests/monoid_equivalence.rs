@@ -10,10 +10,11 @@
 //!    union, tropical min, and the thresholded (filtering) plus are
 //!    each checked against a model built with plain loops.
 //!
-//! Filtering monoids are exercised through the k-way algorithms, except
-//! on a single pair: the 2-way/library tree drivers apply `keep` at every
-//! merge level, which is a semantically different (documented) reduction
-//! once there is more than one level.
+//! Filtering monoids are checked against the one-pass filter through the
+//! k-way algorithms only: the 2-way/library folds apply `keep` at every
+//! pairwise merge, a semantically different (documented) reduction once
+//! there is more than one merge. Their order is pinned instead against
+//! dense models of the left fold and the level-by-level tree.
 
 use spk_gen::{generate_collection, Pattern};
 use spk_sparse::{CscMatrix, Element};
@@ -226,11 +227,94 @@ fn thresholded_plus_compacts_the_pairwise_folds() {
         Algorithm::TwoWayTree,
         Algorithm::TwoWayIncremental,
         Algorithm::LibTree,
+        Algorithm::LibIncremental,
     ] {
         let out = reduce(&[&a, &b], monoid, alg, &opts);
         assert_eq!(
             out, expect,
             "{alg:?}: cancelled slot must be compacted away"
         );
+    }
+}
+
+/// A matrix as dense column-major cells; `None` is a structural zero.
+fn cells(a: &CscMatrix<f64>) -> Vec<Option<f64>> {
+    let m = a.nrows();
+    let mut out = vec![None; m * a.ncols()];
+    for (r, c, v) in a.iter() {
+        out[c as usize * m + r as usize] = Some(v);
+    }
+    out
+}
+
+/// One filtered pairwise merge of dense cells: `a + b` where both are
+/// stored, else the one stored side, then `keep` on every result.
+fn merge_cells(a: &[Option<f64>], b: &[Option<f64>], monoid: ThresholdedPlus) -> Vec<Option<f64>> {
+    a.iter()
+        .zip(b)
+        .map(|(&x, &y)| match (x, y) {
+            (Some(x), Some(y)) => Some(x + y),
+            (x, None) | (None, x) => x,
+        })
+        .map(|v| v.filter(|v| monoid.keep(v)))
+        .collect()
+}
+
+/// Dense cells back to a CSC matrix with ascending rows.
+fn from_cells(m: usize, n: usize, cells: &[Option<f64>]) -> CscMatrix<f64> {
+    let (mut colptr, mut rows, mut vals) = (vec![0], Vec::new(), Vec::new());
+    for j in 0..n {
+        for r in 0..m {
+            if let Some(v) = cells[j * m + r] {
+                rows.push(r as u32);
+                vals.push(v);
+            }
+        }
+        colptr.push(rows.len());
+    }
+    CscMatrix::try_new(m, n, colptr, rows, vals).unwrap()
+}
+
+#[test]
+fn filtering_folds_keep_their_merge_order() {
+    // Under a threshold, where the filter runs changes the result, so
+    // each pairwise fold must match a model of its own merge order: the
+    // incremental folds filter after every step from an unfiltered first
+    // operand; the trees pair neighbours level by level and carry an odd
+    // last matrix up unfiltered. k = 7 has odd levels, k = 8 has none.
+    let monoid = ThresholdedPlus::new(1.5);
+    let opts = Options::default();
+    for k in [7, 8] {
+        let mats = generate_collection(Pattern::Er, 256, 32, 8, k, 3);
+        let refs: Vec<&CscMatrix<f64>> = mats.iter().collect();
+        let (m, n) = refs[0].shape();
+
+        let mut left = cells(refs[0]);
+        for a in &refs[1..] {
+            left = merge_cells(&left, &cells(a), monoid);
+        }
+        let mut level: Vec<Vec<Option<f64>>> = refs.iter().map(|a| cells(a)).collect();
+        while level.len() > 1 {
+            level = level
+                .chunks(2)
+                .map(|p| match p {
+                    [a, b] => merge_cells(a, b, monoid),
+                    [a] => a.clone(),
+                    _ => unreachable!(),
+                })
+                .collect();
+        }
+        let (left, tree) = (from_cells(m, n, &left), from_cells(m, n, &level[0]));
+        assert_ne!(left, tree, "k={k}: the two merge orders must differ here");
+
+        for (alg, expect) in [
+            (Algorithm::TwoWayIncremental, &left),
+            (Algorithm::LibIncremental, &left),
+            (Algorithm::TwoWayTree, &tree),
+            (Algorithm::LibTree, &tree),
+        ] {
+            let out = reduce(&refs, monoid, alg, &opts);
+            assert_eq!(&out, expect, "k={k}, {alg:?}: fold order changed");
+        }
     }
 }
