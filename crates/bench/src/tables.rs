@@ -7,6 +7,11 @@
 //! repeated timings measure the steady-state (workspace-reused) path.
 //! `--algorithms hash,sliding-hash,...` restricts the rows (names parsed
 //! with `Algorithm::from_str`).
+//!
+//! The tables are a check as well: in every cell, the algorithms that add
+//! each output entry in input order (the incremental folds, Heap, SPA and
+//! Sliding Hash) must `==` Hash's result, and 2-way Tree must `==` Lib
+//! Tree's; the harness panics otherwise. Rows not run are not compared.
 
 use crate::{fmt_secs, print_table, refs, time_best, workloads, Args};
 use spk_sparse::CscMatrix;
@@ -61,6 +66,7 @@ pub fn run_runtime_table(
             let mats = gen(m, n, d, k, 42);
             let mrefs = refs(&mats);
             let inz = workloads::total_nnz(&mats) as f64;
+            let mut outs = Vec::new();
             for (ai, alg) in algs.iter().enumerate() {
                 let est = estimated_work(*alg, inz, k);
                 if est > guard {
@@ -74,9 +80,11 @@ pub fn run_runtime_table(
                     .options(opts.clone())
                     .build::<f64>()
                     .expect("plan build failed");
-                let (_, secs) = time_best(reps, || plan.execute(&mrefs).expect("spkadd failed"));
+                let (out, secs) = time_best(reps, || plan.execute(&mrefs).expect("spkadd failed"));
                 cells[ai].push(Some(secs));
+                outs.push((*alg, out));
             }
+            check_cell(&outs, d, k);
         }
     }
 
@@ -103,6 +111,29 @@ pub fn run_runtime_table(
     }
     print_table(&rows_out);
     println!("(* = fastest in column; — = skipped by the work guard)");
+}
+
+/// Asserts that one cell's results agree where their sums are exactly
+/// equal: every algorithm that adds in input order with Hash, and the two
+/// trees with each other. A comparison with a row not run is skipped.
+fn check_cell(outs: &[(Algorithm, CscMatrix<f64>)], d: usize, k: usize) {
+    use Algorithm::*;
+    let find = |alg| outs.iter().find(|(a, _)| *a == alg).map(|(_, out)| out);
+    for (alg, reference) in [
+        (TwoWayIncremental, Hash),
+        (LibIncremental, Hash),
+        (Heap, Hash),
+        (Spa, Hash),
+        (SlidingHash, Hash),
+        (TwoWayTree, LibTree),
+    ] {
+        if let (Some(out), Some(expect)) = (find(alg), find(reference)) {
+            assert!(
+                out == expect,
+                "d={d}, k={k}: {alg} differs from {reference}"
+            );
+        }
+    }
 }
 
 /// The algorithm rows to run: the paper's eight, or the comma-separated
