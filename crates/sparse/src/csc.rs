@@ -369,10 +369,11 @@ impl<T: Element> CscMatrix<T> {
         CscMatrix::from_parts((r2 - r1) as usize, self.ncols, colptr, rowidx, values)
     }
 
-    /// Extracts the row slab `[r1, r2)` — alias of [`CscMatrix::slice_rows`]
-    /// under the name the sharding layer uses: `row_slice` + [`CscMatrix::vstack`]
-    /// are the partition/concatenate pair of the row-range-sharded
-    /// aggregation service (`spk_server`).
+    /// Extracts the row slab `[r1, r2)` — alias of [`CscMatrix::slice_rows`].
+    /// [`CscMatrix::vstack`] inverts a partition into such slabs. The
+    /// row-range-sharded aggregation service (`spk_server`) uses neither:
+    /// it splits with [`CscMatrix::row_split`] and assembles the shards'
+    /// partials in its two-round `finalize` sink.
     #[inline]
     pub fn row_slice(&self, r1: usize, r2: usize) -> CscMatrix<T> {
         self.slice_rows(r1, r2)
